@@ -16,22 +16,23 @@
 ///    clone+mutate+restore vs the overlay plane (per-lane weight views
 ///    through one grouped forward_batch), with a bit-identity check and
 ///    the per-lane memory footprint of both,
-///  * federated round: the batched server round (preallocated row matrix
-///    through transmit_rows/smoothing_average_rows) vs the legacy
-///    vector-of-vectors path with fresh per-round upload vectors, plus
-///    GridWorld train() episode throughput at several engine thread
-///    counts — both with bit-identity gates (batched round == scalar
-///    round; parallel train == serial train),
-///  * degraded participation: communicate_round vs communicate_rows at the
-///    same shapes (all-present and busy degraded rounds), with two
-///    bit-identity gates — the all-present round must equal the
-///    synchronous round, and train() under an active all-present plan
+///  * federated round: the server round (ParameterServer::communicate_round
+///    over a preallocated row matrix) vs the tests/golden frozen scalar
+///    round with fresh per-round upload vectors, plus GridWorld train()
+///    episode throughput at several engine thread counts — both with
+///    bit-identity gates (server round == frozen scalar round; parallel
+///    train == serial train),
+///  * degraded participation: the frozen scalar round vs the server round
+///    all-present and on a busy degraded round at the same shapes, with
+///    two bit-identity gates — the all-present round must equal the
+///    frozen scalar round, and train() under an active all-present plan
 ///    must equal the plan-free train,
 ///  * channel reliability: transmit_rows under the i.i.d. golden path vs
 ///    the Gilbert-Elliott burst plane vs the checksum/retry upload
 ///    protocol, with three bit-identity gates (degenerate burst config ==
 ///    i.i.d. channel including RNG stream position, zero-retry protocol
-///    round == plain round, burst length-1 injector == single-bit golden),
+///    round == frozen scalar round, burst length-1 injector == single-bit
+///    golden),
 ///  * fleet rounds: the round engine at n_agents in {64, 512, 4096} with
 ///    the fleet server path armed (parallel per-(seq, row) channel,
 ///    pool-parallel aggregation, participant-compacted round storage,
@@ -64,6 +65,8 @@
 #include "federated/server.hpp"
 #include "frl/gridworld_system.hpp"
 #include "frl/policies.hpp"
+#include "golden/golden.hpp"
+#include "golden/round_util.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/network.hpp"
 #include "tensor/tensor.hpp"
@@ -137,7 +140,7 @@ struct Trans1Row {
 struct ServerRoundRow {
   std::size_t agents = 0, dim = 0;
   double vov_us = 0.0, rows_us = 0.0, speedup = 0.0;
-  bool identical = false;  // batched round == scalar vector round
+  bool identical = false;  // server round == frozen scalar round
 };
 struct TrainRoundRow {
   std::size_t agents = 0, threads = 0;
@@ -146,8 +149,8 @@ struct TrainRoundRow {
 };
 struct ParticipationRow {
   std::size_t agents = 0, dim = 0;
-  double rows_us = 0.0, full_round_us = 0.0, degraded_us = 0.0;
-  bool identical = false;  // all-present communicate_round == communicate_rows
+  double frozen_us = 0.0, full_round_us = 0.0, degraded_us = 0.0;
+  bool identical = false;  // all-present round == frozen scalar round
 };
 struct ChannelRow {
   std::size_t agents = 0, dim = 0;
@@ -176,7 +179,7 @@ struct Report {
   std::vector<ParticipationRow> participation;
   bool participation_train_identical = false;  // full plan == plan-free train
   std::vector<ChannelRow> channel;
-  bool channel_zero_retry_identical = false;  // zero-retry round == plain
+  bool channel_zero_retry_identical = false;  // zero-retry == frozen round
   bool channel_burst1_identical = false;      // burst-1 == single-bit golden
   std::vector<FleetRow> fleet;
   CampaignRow campaign;
@@ -542,17 +545,14 @@ bool bench_trans1(double min_time, Report& report) {
   return all_identical;
 }
 
-// The federated server round: the frozen pre-refactor scalar round —
-// fresh per-round upload vectors through CommChannel::transmit,
-// smoothing_average, mean_parameters (exactly what communicate_if_due +
-// ParameterServer::communicate used to execute) — vs the engine's
-// preallocated row matrix through communicate_rows. The reference is
-// rebuilt from the scalar primitives because ParameterServer::communicate
-// is a wrapper over communicate_rows now; downlinks must agree
-// bit-for-bit.
+// The federated server round: the tests/golden frozen scalar round —
+// fresh per-round upload vectors through the scalar transmit,
+// smoothing_average, mean_parameters — vs
+// ParameterServer::communicate_round over a preallocated row matrix.
+// Downlinks must agree bit-for-bit.
 bool bench_federated_round(double min_time, Report& report) {
   std::printf(
-      "\n== Federated server round: vector-of-vectors vs batched row matrix "
+      "\n== Federated server round: frozen vector-of-vectors vs row matrix "
       "==\n");
   std::printf("(gridworld-policy dim, BER 1e-2, microseconds per round)\n");
   std::printf("%-8s %8s %12s %12s %8s %14s\n", "agents", "dim", "vov us",
@@ -571,54 +571,43 @@ bool bench_federated_round(double min_time, Report& report) {
     }
 
     const AlphaSchedule schedule(agents, 0.5);
-    // Frozen scalar reference round over fresh per-round vectors — the
-    // retired implementation, composed from the scalar primitives.
-    const auto scalar_round = [&](CommChannel& channel, std::size_t round,
-                                  Rng& rng) {
-      std::vector<std::vector<float>> uploads;
-      uploads.reserve(agents);
-      for (const auto& row : base)
-        uploads.push_back(channel.transmit(row, rng));
-      std::vector<std::vector<float>> agg =
-          smoothing_average(uploads, schedule.at(round));
-      const std::vector<float> consensus = mean_parameters(agg);
-      (void)consensus;  // kept for timing parity with the retired round
-      std::vector<std::vector<float>> down;
-      down.reserve(agents);
-      for (const auto& p : agg) down.push_back(channel.transmit(p, rng));
-      return down;
-    };
-
-    CommChannel vov_channel(1e-2);
+    golden::ScalarChannel vov_channel(1e-2);
     Rng vov_rng(33);
     std::size_t vov_round = 0;
-    const double t_vov = time_per_call(
-        min_time, [&] { scalar_round(vov_channel, vov_round++, vov_rng); });
+    std::vector<float> vov_consensus;
+    const double t_vov = time_per_call(min_time, [&] {
+      golden::frozen_scalar_round(base, vov_channel,
+                                  schedule.at(vov_round++), vov_rng,
+                                  &vov_consensus);
+    });
 
     ParameterServer rows_server(agents, dim, schedule);
     rows_server.channel().set_bit_error_rate(1e-2);
     Rng rows_rng(33);
     std::vector<float> matrix(agents * dim);
-    const auto run_rows = [&] {
+    const auto load = [&] {
       for (std::size_t i = 0; i < agents; ++i)
         std::copy(base[i].begin(), base[i].end(),
                   matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
-      rows_server.communicate_rows(matrix, rows_rng);
     };
-    const double t_rows = time_per_call(min_time, run_rows);
+    const double t_rows = time_per_call(min_time, [&] {
+      load();
+      testing::sync_round(rows_server, matrix, rows_rng);
+    });
 
     // Bit-identity at equal round/rng state: frozen scalar round vs one
-    // batched round on a fresh server.
-    CommChannel ref_channel(1e-2);
+    // server round on a fresh server.
+    golden::ScalarChannel ref_channel(1e-2);
     ParameterServer b(agents, dim, schedule);
     b.channel().set_bit_error_rate(1e-2);
     Rng ra(34), rb(34);
-    const auto down = scalar_round(ref_channel, 0, ra);
-    for (std::size_t i = 0; i < agents; ++i)
-      std::copy(base[i].begin(), base[i].end(),
-                matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
-    b.communicate_rows(matrix, rb);
-    bool identical = ra.next_u64() == rb.next_u64();
+    std::vector<float> ref_consensus;
+    const auto down = golden::frozen_scalar_round(
+        base, ref_channel, schedule.at(0), ra, &ref_consensus);
+    load();
+    testing::sync_round(b, matrix, rb);
+    bool identical = ra.next_u64() == rb.next_u64() &&
+                     b.consensus() == ref_consensus;
     for (std::size_t i = 0; i < agents && identical; ++i)
       for (std::size_t d = 0; d < dim && identical; ++d)
         identical = matrix[i * dim + d] == down[i][d];
@@ -680,18 +669,19 @@ bool bench_train_round(bool quick, Report& report) {
   return all_identical;
 }
 
-// The degraded-participation plane: communicate_round timing against the
-// synchronous communicate_rows at the same shapes — the all-Present round
-// (which must delegate to communicate_rows bit-for-bit, RNG position
-// included) and a busy degraded round (dropout + straggler + screened
-// Byzantine row). Plus the engine-level lock: a short GridWorld train()
-// under an active all-present plan must match the plan-free train exactly.
+// The degraded-participation plane: the server round all-present and on a
+// busy degraded round (dropout + straggler + screened Byzantine row),
+// timed against the frozen scalar round at the same shapes; the
+// all-present round must equal the frozen scalar round bit-for-bit, RNG
+// position included. Plus the engine-level lock: a short GridWorld
+// train() under an active all-present plan must match the plan-free train
+// exactly.
 bool bench_participation(double min_time, bool quick, Report& report) {
   std::printf(
-      "\n== Degraded participation: communicate_round vs communicate_rows "
+      "\n== Degraded participation: server round vs frozen scalar round "
       "==\n");
   std::printf("(gridworld-policy dim, BER 1e-2, microseconds per round)\n");
-  std::printf("%-8s %8s %12s %12s %12s %14s\n", "agents", "dim", "rows us",
+  std::printf("%-8s %8s %12s %12s %12s %14s\n", "agents", "dim", "frozen us",
               "full us", "degraded us", "bit-identical");
   Rng prng(41);
   const Network policy = make_gridworld_policy(prng);
@@ -701,28 +691,29 @@ bool bench_participation(double min_time, bool quick, Report& report) {
     std::vector<float> base(agents * dim);
     Rng wrng(42);
     for (auto& v : base) v = static_cast<float>(wrng.uniform(-0.5, 0.5));
+    std::vector<std::vector<float>> base_vov(agents);
+    for (std::size_t i = 0; i < agents; ++i)
+      base_vov[i].assign(base.begin() + static_cast<std::ptrdiff_t>(i * dim),
+                         base.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim));
 
     const AlphaSchedule schedule(agents, 0.5);
     std::vector<float> matrix(agents * dim);
     const auto reload = [&] { std::copy(base.begin(), base.end(), matrix.begin()); };
 
-    ParameterServer rows_server(agents, dim, schedule);
-    rows_server.channel().set_bit_error_rate(1e-2);
-    Rng rows_rng(43);
-    const double t_rows = time_per_call(min_time, [&] {
-      reload();
-      rows_server.communicate_rows(matrix, rows_rng);
+    golden::ScalarChannel frozen_channel(1e-2);
+    Rng frozen_rng(43);
+    std::vector<float> frozen_consensus;
+    const double t_frozen = time_per_call(min_time, [&] {
+      golden::frozen_scalar_round(base_vov, frozen_channel, schedule.at(0),
+                                  frozen_rng, &frozen_consensus);
     });
 
-    const std::vector<AgentRoundStatus> all_present(
-        agents, AgentRoundStatus::Present);
-    ParameterServer::RobustRoundOptions opts;
     ParameterServer full_server(agents, dim, schedule);
     full_server.channel().set_bit_error_rate(1e-2);
     Rng full_rng(43);
     const double t_full = time_per_call(min_time, [&] {
       reload();
-      full_server.communicate_round(matrix, all_present, opts, full_rng);
+      testing::sync_round(full_server, matrix, full_rng);
     });
 
     // A busy degraded round: one dropped, one straggling, one screened
@@ -741,26 +732,29 @@ bool bench_participation(double min_time, bool quick, Report& report) {
       reload();
       for (std::size_t d = 0; d < dim; ++d)
         matrix[2 * dim + d] = (d % 2) ? 50.0f : -50.0f;  // screened garbage
-      deg_server.communicate_round(matrix, degraded, screen_opts, deg_rng);
+      testing::round_over_matrix(deg_server, matrix, degraded, screen_opts,
+                                 deg_rng);
     });
 
-    // Bit-identity gate at equal round/rng state: one all-present
-    // communicate_round vs one communicate_rows on fresh servers.
-    ParameterServer a(agents, dim, schedule), b(agents, dim, schedule);
-    a.channel().set_bit_error_rate(1e-2);
+    // Bit-identity gate at equal round/rng state: one all-present server
+    // round vs the frozen scalar round.
+    golden::ScalarChannel ref_channel(1e-2);
+    ParameterServer b(agents, dim, schedule);
     b.channel().set_bit_error_rate(1e-2);
     Rng ra(44), rb(44);
-    std::vector<float> ma = base, mb = base;
-    a.communicate_rows(ma, ra);
-    b.communicate_round(mb, all_present, opts, rb);
-    bool identical = ma == mb && a.consensus() == b.consensus() &&
+    std::vector<float> ref_consensus;
+    const std::vector<float> ma = testing::pack_rows(golden::frozen_scalar_round(
+        base_vov, ref_channel, schedule.at(0), ra, &ref_consensus));
+    std::vector<float> mb = base;
+    testing::sync_round(b, mb, rb);
+    bool identical = ma == mb && ref_consensus == b.consensus() &&
                      ra.next_u64() == rb.next_u64();
     all_identical = all_identical && identical;
 
     report.participation.push_back(
-        {agents, dim, t_rows * 1e6, t_full * 1e6, t_deg * 1e6, identical});
+        {agents, dim, t_frozen * 1e6, t_full * 1e6, t_deg * 1e6, identical});
     std::printf("%-8zu %8zu %12.2f %12.2f %12.2f %14s\n", agents, dim,
-                t_rows * 1e6, t_full * 1e6, t_deg * 1e6,
+                t_frozen * 1e6, t_full * 1e6, t_deg * 1e6,
                 identical ? "YES" : "NO  <-- BUG");
   }
 
@@ -792,8 +786,8 @@ bool bench_participation(double min_time, bool quick, Report& report) {
 // exit code: a degenerate burst config (equal-state BERs, no erasure or
 // reordering) must match the i.i.d. channel bit-for-bit — delivered
 // payloads, cost counters and the caller's RNG stream position — a
-// zero-retry protocol round must match the plain round, and the burst
-// injector at length 1 must match the single-bit golden injector.
+// zero-retry protocol round must match the frozen scalar round, and the
+// burst injector at length 1 must match the single-bit golden injector.
 bool bench_channel_reliability(double min_time, Report& report) {
   std::printf(
       "\n== Channel reliability: bursty plane vs i.i.d. golden ==\n");
@@ -849,10 +843,13 @@ bool bench_channel_reliability(double min_time, Report& report) {
     CommChannel rel;
     rel.set_bursty(stormy);
     Rng rel_rng(43);
+    std::vector<float*> rel_rows(agents);
     const double t_rel = time_per_call(min_time, [&] {
       reload();
       for (std::size_t i = 0; i < agents; ++i)
-        rel.transmit_reliable(matrix.data() + i * dim, dim, rel_rng, proto);
+        rel_rows[i] = matrix.data() + i * dim;
+      rel.transmit_uploads(rel_rows.data(), agents, dim, rel_rng, nullptr,
+                           &proto);
     });
 
     // Gate: degenerate Gilbert-Elliott == i.i.d. at ber_good.
@@ -875,31 +872,33 @@ bool bench_channel_reliability(double min_time, Report& report) {
                 identical ? "YES" : "NO  <-- BUG");
   }
 
-  // Gate: a zero-retry protocol round == the plain round (no checksum
-  // without the ability to retransmit, so nothing may change).
+  // Gate: a zero-retry protocol round == the frozen scalar round (no
+  // checksum without the ability to retransmit, so nothing may change).
   {
     const std::size_t agents = 8;
-    std::vector<float> base(agents * dim);
+    std::vector<std::vector<float>> base(agents, std::vector<float>(dim));
     Rng wrng(45);
-    for (auto& v : base) v = static_cast<float>(wrng.uniform(-0.5, 0.5));
+    for (auto& row : base)
+      for (auto& v : row) v = static_cast<float>(wrng.uniform(-0.5, 0.5));
     const AlphaSchedule schedule(agents, 0.5);
     const std::vector<AgentRoundStatus> all_present(
         agents, AgentRoundStatus::Present);
-    ParameterServer plain(agents, dim, schedule);
+    golden::ScalarChannel frozen_channel(1e-2);
     ParameterServer zero(agents, dim, schedule);
-    plain.channel().set_bursty(stormy);
-    zero.channel().set_bursty(stormy);
-    ParameterServer::RobustRoundOptions plain_opts, zero_opts;
+    zero.channel().set_bit_error_rate(1e-2);
+    ParameterServer::RobustRoundOptions zero_opts;
     zero_opts.upload.enabled = true;
     zero_opts.upload.max_retries = 0;
     Rng rp(46), rz(46);
-    std::vector<float> mp = base, mz = base;
-    plain.communicate_round(mp, all_present, plain_opts, rp);
-    zero.communicate_round(mz, all_present, zero_opts, rz);
+    std::vector<float> frozen_consensus;
+    const std::vector<float> mp = testing::pack_rows(golden::frozen_scalar_round(
+        base, frozen_channel, schedule.at(0), rp, &frozen_consensus));
+    std::vector<float> mz = testing::pack_rows(base);
+    testing::round_over_matrix(zero, mz, all_present, zero_opts, rz);
     report.channel_zero_retry_identical =
-        mp == mz && plain.consensus() == zero.consensus() &&
+        mp == mz && frozen_consensus == zero.consensus() &&
         rp.next_u64() == rz.next_u64();
-    std::printf("zero-retry protocol round bit-identical to plain: %s\n",
+    std::printf("zero-retry protocol round bit-identical to frozen round: %s\n",
                 report.channel_zero_retry_identical ? "YES" : "NO  <-- BUG");
   }
 
@@ -1178,10 +1177,10 @@ void write_json(const Report& r, const char* path) {
   for (std::size_t i = 0; i < r.participation.size(); ++i) {
     const auto& row = r.participation[i];
     std::fprintf(f,
-                 "      {\"agents\": %zu, \"dim\": %zu, \"rows_us\": %.4f, "
+                 "      {\"agents\": %zu, \"dim\": %zu, \"frozen_us\": %.4f, "
                  "\"full_round_us\": %.4f, \"degraded_round_us\": %.4f, "
                  "\"bit_identical\": %s}%s\n",
-                 row.agents, row.dim, row.rows_us, row.full_round_us,
+                 row.agents, row.dim, row.frozen_us, row.full_round_us,
                  row.degraded_us, row.identical ? "true" : "false",
                  i + 1 < r.participation.size() ? "," : "");
   }

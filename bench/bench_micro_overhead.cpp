@@ -2,8 +2,8 @@
 /// Google-benchmark micro-benchmarks backing the paper's overhead claims:
 /// the fault injector, the range detector scan (the §V-B runtime cost,
 /// <2.7% of a policy step), checkpoint save/restore (§V-A, asynchronous),
-/// the smoothing-average aggregation, and the policy forward passes they
-/// are measured against.
+/// the synchronous smoothing-average server round, and the policy forward
+/// passes they are measured against.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,7 @@
 
 #include "core/campaign.hpp"
 #include "fault/injector.hpp"
-#include "federated/aggregation.hpp"
+#include "federated/server.hpp"
 #include "frl/policies.hpp"
 #include "mitigation/checkpoint.hpp"
 #include "mitigation/range_detector.hpp"
@@ -181,14 +181,30 @@ void BM_CheckpointSave(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointSave);
 
-void BM_SmoothingAverage(benchmark::State& state) {
+// One synchronous server round (clean-channel uplink, smoothing average,
+// consensus, downlink) over n DroneNav-sized parameter rows; each round's
+// downlinks are the next round's uploads.
+void BM_ServerRound(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<float>> uploads(n, std::vector<float>(4131, 0.5f));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(smoothing_average(uploads, 0.5));
-  state.SetItemsProcessed(state.iterations() * n * 4131);
+  const std::size_t dim = 4131;
+  ParameterServer server(n, dim, AlphaSchedule(n, 0.5));
+  std::vector<float> rows(n * dim);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    rows[i] = 0.5f + 1e-4f * static_cast<float>(i % 97);
+  std::vector<std::size_t> agents(n);
+  for (std::size_t i = 0; i < n; ++i) agents[i] = i;
+  const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
+  const ParameterServer::RobustRoundOptions opts;
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.communicate_round(
+        rows, agents, status, opts, rng, nullptr, /*run_post_hook=*/false));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) *
+                          static_cast<std::int64_t>(dim));
 }
-BENCHMARK(BM_SmoothingAverage)->Arg(4)->Arg(12);
+BENCHMARK(BM_ServerRound)->Arg(4)->Arg(12);
 
 void BM_WeightRestoreGuard(benchmark::State& state) {
   Network& net = grid_policy();

@@ -137,4 +137,15 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
+/// body(0, n) on the calling thread when `pool` is null, else
+/// pool->parallel_for(n, body) — for kernels whose bodies are
+/// partition-invariant, so the inline run is their serial golden path.
+inline void parallel_for(ThreadPool* pool, std::size_t n,
+                         const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr)
+    pool->parallel_for(n, body);
+  else if (n > 0)
+    body(0, n);
+}
+
 }  // namespace frlfi

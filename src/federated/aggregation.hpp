@@ -8,6 +8,9 @@
 ///
 /// with beta_k = (1 - alpha_k) / (n - 1), alpha_k, beta_k in (0, 1), and
 /// alpha_k -> 1/n as training proceeds (consensus; Eq. 4 of the paper).
+/// ParameterServer::communicate_round evaluates it over the round's
+/// contributor rows; the vector-of-vectors scalar reference it is locked
+/// against lives in tests/golden.
 
 #include <cstddef>
 #include <vector>
@@ -37,68 +40,26 @@ class AlphaSchedule {
   double tau_;
 };
 
-/// One smoothing-average round: given each agent's uploaded parameter
-/// vector theta_i^{k-}, returns the n per-agent results theta_i^{k+}.
-/// All vectors must be the same length; n >= 2. This is the scalar golden
-/// reference the row-matrix kernel below is locked against.
-std::vector<std::vector<float>> smoothing_average(
-    const std::vector<std::vector<float>>& uploads, double alpha);
-
-/// Batched smoothing average over a row-major n x dim upload matrix (row i
-/// = agent i's parameters), writing the n per-agent results into the
-/// row-major `out` (same shape; must not alias `uploads`). `total_scratch`
-/// must hold dim floats (the caller — ParameterServer — preallocates it so
-/// a round allocates nothing). Runs on the axpy kernel with the exact
-/// accumulation order of the scalar reference (rows in agent order), so
-/// the results are bit-identical to smoothing_average of the same rows.
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha);
-
-/// Pool-parallel smoothing average, bit-identical to the serial kernel at
-/// any lane count: the row sum is partitioned by *coordinate* (each lane
-/// accumulates its column slice over all rows in agent order, so every
-/// coordinate sees the exact serial summation chain), and the per-agent
-/// combine by row. The lane partition is pure scheduling — no float
-/// reassociation anywhere.
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha, ThreadPool& pool);
-
 /// Plain mean of the uploaded vectors (the consensus policy; used by the
 /// checkpointing scheme and the Table I spread statistic).
 std::vector<float> mean_parameters(const std::vector<std::vector<float>>& uploads);
-
-/// mean_parameters over a row-major n x dim matrix, written into `mean`
-/// (dim floats). Same row-order accumulation — bit-identical to the
-/// vector-of-vectors form.
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean);
-
-/// Pool-parallel row mean, coordinate-partitioned like the smoothing
-/// kernel — bit-identical to the serial form at any lane count.
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean, ThreadPool& pool);
 
 /// Coordinate-wise trimmed mean over m (possibly non-contiguous) rows:
 /// for each coordinate, sort the m contributed values, drop the trim_k
 /// smallest and trim_k largest, and average the rest in sorted order.
 /// Non-finite values sort to the top end, so a NaN/Inf garbage row is
-/// among the first trimmed. Requires m > 2 * trim_k. `scratch` must hold
-/// m floats; `out` holds dim floats. This is the robust-aggregation peer
-/// estimate used by ScreeningConfig::trimmed_mean.
-void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k, float* scratch,
-                       float* out);
-
-/// Pool-parallel trimmed mean: coordinates are partitioned across lanes
-/// (each coordinate's gather/sort/sum is self-contained, so the rank order
-/// — and therefore the bits — cannot depend on the partition).
-/// `lane_scratch` must hold lanes * m floats, `lanes` >= the pool size;
-/// lane l works out of lane_scratch[l * m .. (l + 1) * m).
+/// among the first trimmed. Requires m > 2 * trim_k. This is the
+/// robust-aggregation peer estimate used by ScreeningConfig::trimmed_mean.
+///
+/// Coordinates are partitioned across the lanes of `pool` (each
+/// coordinate's gather/sort/sum is self-contained, so the rank order — and
+/// therefore the bits — cannot depend on the partition); a null pool runs
+/// inline. `lane_scratch` must hold lanes * m floats, `lanes` >= the pool
+/// size (1 without a pool); lane l works out of
+/// lane_scratch[l * m .. (l + 1) * m). `out` holds dim floats.
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
                        std::size_t dim, std::size_t trim_k,
                        float* lane_scratch, std::size_t lanes, float* out,
-                       ThreadPool& pool);
+                       ThreadPool* pool);
 
 }  // namespace frlfi

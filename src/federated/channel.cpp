@@ -7,9 +7,7 @@
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
-#include "fault/injector.hpp"
 #include "numeric/quantize.hpp"
-#include "tensor/gemm.hpp"  // FRLFI_RESTRICT
 
 namespace frlfi {
 
@@ -17,6 +15,54 @@ namespace {
 
 void check_probability(double p, const char* what) {
   FRLFI_CHECK_MSG(p >= 0.0 && p <= 1.0, what << " " << p);
+}
+
+// One element's i.i.d. flips: always 8 Bernoulli draws (one per bit of
+// the int8 wire word, hit or not), collected into one XOR mask. Returns
+// the number of flipped bits.
+std::size_t flip_word(float& v, const Int8Quantizer& q, double ber,
+                      Rng& noise) {
+  std::uint8_t mask = 0;
+  for (int b = 0; b < 8; ++b)
+    if (noise.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
+  if (mask == 0) return 0;
+  v = q.dequantize(static_cast<std::int8_t>(
+      static_cast<std::uint8_t>(q.quantize(v)) ^ mask));
+  return static_cast<std::size_t>(std::popcount(mask));
+}
+
+// The checksum/backoff/deadline retry loop around `attempt(k)` (k = 0 for
+// the first transmission, k for the k-th retry). An attempt is delivered
+// iff the payload arrived bit-exact; before each retry the clean payload
+// (kept in `orig`) is restored. A failed upload leaves the clean payload
+// in the row: that is what the eventual off-deadline retransmission
+// delivers, and what the server folds into the staleness buffer.
+template <class Attempt>
+CommChannel::UploadOutcome retry_until_clean(float* row, std::size_t dim,
+                                             const UploadProtocolConfig& cfg,
+                                             std::vector<float>& orig,
+                                             std::size_t& retransmit_bytes,
+                                             const Attempt& attempt) {
+  CommChannel::UploadOutcome out;
+  orig.assign(row, row + dim);
+  const auto clean = [&] { return std::equal(row, row + dim, orig.begin()); };
+  double elapsed = cfg.attempt_timeout;
+  attempt(0);
+  while (!clean()) {
+    if (out.attempts > cfg.max_retries) break;
+    const double backoff =
+        cfg.backoff_base * std::ldexp(1.0, static_cast<int>(out.attempts) - 1);
+    if (elapsed + backoff + cfg.attempt_timeout > cfg.deadline) break;
+    elapsed += backoff + cfg.attempt_timeout;
+    out.backoff += backoff;
+    ++out.attempts;
+    retransmit_bytes += dim + sizeof(float);
+    std::copy(orig.begin(), orig.end(), row);
+    attempt(out.attempts - 1);
+  }
+  out.delivered = clean();
+  if (!out.delivered) std::copy(orig.begin(), orig.end(), row);
+  return out;
 }
 
 }  // namespace
@@ -43,92 +89,47 @@ void CommChannel::set_bursty(const BurstyChannelConfig& cfg) {
   bursty_ = cfg;
 }
 
-std::vector<float> CommChannel::transmit(const std::vector<float>& payload,
-                                         Rng& rng) {
-  const bool bursty = bursty_.active && !bursty_degenerate(bursty_);
-  // A degenerate bursty config IS the i.i.d. channel at ber_good: same
-  // code, same draws, same counters — the lock is structural.
-  const double ber = bursty_.active ? bursty_.ber_good : ber_;
-  ++messages_;
-  ++seq_;
-  if (payload.empty()) return payload;
+void CommChannel::transmit_message(float* row, std::size_t dim,
+                                   const Rng& base, Rng* serial_noise,
+                                   std::uint64_t seq, std::uint64_t attempt,
+                                   RowScratch& scratch,
+                                   LaneCounters& cnt) const {
+  ++cnt.messages;
+  if (dim == 0) return;  // empty payload: counted, no bytes
   // Wire format: 8-bit body (1 byte per parameter — the paper's policies
   // are 8-bit quantized over the air) plus a protected scale header.
   // Elements untouched by channel errors are delivered losslessly: the
   // endpoints share the codec, so a clean link is exact, while an element
   // that takes a bit flip materializes the corrupted quantized word.
-  bytes_ += payload.size() + sizeof(float);
-  if (bursty) {
-    std::vector<float> out = payload;
-    transmit_row_bursty(out.data(), out.size(), rng, seq_ - 1);
-    return out;
+  cnt.bytes += dim + sizeof(float);
+  if (bursty_.active && !bursty_degenerate(bursty_)) {
+    transmit_bursty(row, dim, base, seq, attempt, scratch, cnt);
+    return;
   }
-  if (ber <= 0.0) return payload;
-
-  const Int8Quantizer q = Int8Quantizer::calibrate(payload);
-  std::vector<float> out = payload;
-  for (auto& v : out) {
-    std::uint8_t word = static_cast<std::uint8_t>(q.quantize(v));
-    bool touched = false;
-    for (int b = 0; b < 8; ++b) {
-      if (rng.bernoulli(ber)) {
-        word = static_cast<std::uint8_t>(word ^ (1u << b));
-        touched = true;
-        ++corrupted_;
-      }
-    }
-    if (touched) v = q.dequantize(static_cast<std::int8_t>(word));
-  }
-  return out;
-}
-
-void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
-                                std::size_t dim, Rng& rng) {
-  const bool bursty = bursty_.active && !bursty_degenerate(bursty_);
+  // A degenerate bursty config IS the i.i.d. channel at ber_good: same
+  // code, same draws, same counters — the lock is structural.
   const double ber = bursty_.active ? bursty_.ber_good : ber_;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    ++messages_;
-    ++seq_;
-    if (dim == 0) continue;  // empty payload: counted, no bytes (as scalar)
-    bytes_ += dim + sizeof(float);
-    if (bursty) {
-      transmit_row_bursty(rows + r * dim, dim, rng, seq_ - 1);
-      continue;
-    }
-    if (ber <= 0.0) continue;
-    float* FRLFI_RESTRICT row = rows + r * dim;
-    // Per-row calibration, exactly the scalar transmit's codec.
-    const Int8Quantizer q =
-        Int8Quantizer::calibrate(std::span<const float>(row, dim));
-    for (std::size_t d = 0; d < dim; ++d) {
-      const std::uint8_t word = static_cast<std::uint8_t>(q.quantize(row[d]));
-      // Same Bernoulli stream as the scalar loop (one draw per bit,
-      // always), hits collected into one mask and applied with one XOR.
-      std::uint8_t mask = 0;
-      for (int b = 0; b < 8; ++b)
-        if (rng.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
-      if (mask != 0) {
-        corrupted_ += static_cast<std::size_t>(std::popcount(mask));
-        row[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
-      }
-    }
+  if (ber <= 0.0) return;
+  const Int8Quantizer q =
+      Int8Quantizer::calibrate(std::span<const float>(row, dim));
+  if (serial_noise != nullptr) {
+    for (std::size_t d = 0; d < dim; ++d)
+      cnt.corrupted += flip_word(row[d], q, ber, *serial_noise);
+    return;
   }
+  Rng noise =
+      attempt == 0
+          ? base.derive_stream({bursty_.stream_tag, kChannelNoiseTag, seq})
+          : base.derive_stream(
+                {bursty_.stream_tag, kChannelNoiseTag, seq, attempt});
+  for (std::size_t d = 0; d < dim; ++d)
+    cnt.corrupted += flip_word(row[d], q, ber, noise);
 }
 
-void CommChannel::transmit_row_bursty(float* row, std::size_t dim,
-                                      const Rng& rng, std::uint64_t seq) {
-  LaneCounters cnt;
-  transmit_row_bursty_on(row, dim, rng, seq, 0, scratch_, cnt);
-  corrupted_ += cnt.corrupted;
-  chunks_erased_ += cnt.chunks_erased;
-  reordered_ += cnt.reordered;
-}
-
-void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
-                                         const Rng& rng, std::uint64_t seq,
-                                         std::uint64_t attempt,
-                                         RowScratch& scratch,
-                                         LaneCounters& cnt) const {
+void CommChannel::transmit_bursty(float* row, std::size_t dim,
+                                  const Rng& base, std::uint64_t seq,
+                                  std::uint64_t attempt, RowScratch& scratch,
+                                  LaneCounters& cnt) const {
   const BurstyChannelConfig& c = bursty_;
   // Every burst-plane draw lives on per-message streams derived off the
   // caller's RNG — split/derive never advance it, so arming the burst
@@ -137,12 +138,12 @@ void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
   // retry attempt k > 0 extends the key so each attempt meets fresh
   // weather without claiming a new sequence number.
   Rng state = attempt == 0
-                  ? rng.derive_stream({c.stream_tag, kChannelStateTag, seq})
-                  : rng.derive_stream(
+                  ? base.derive_stream({c.stream_tag, kChannelStateTag, seq})
+                  : base.derive_stream(
                         {c.stream_tag, kChannelStateTag, seq, attempt});
   Rng noise = attempt == 0
-                  ? rng.derive_stream({c.stream_tag, kChannelNoiseTag, seq})
-                  : rng.derive_stream(
+                  ? base.derive_stream({c.stream_tag, kChannelNoiseTag, seq})
+                  : base.derive_stream(
                         {c.stream_tag, kChannelNoiseTag, seq, attempt});
 
   const std::size_t chunk = c.chunk_elems;
@@ -164,24 +165,16 @@ void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
     for (std::size_t k = 0; k < n_chunks; ++k)
       scratch.chunk_lost[k] = state.bernoulli(c.erasure_rate) ? 1 : 0;
 
-  // Flips: the same per-element 8-draw mask discipline as the i.i.d.
-  // path, but at the chunk's state BER and from the per-message noise
-  // stream. Lost chunks never arrive, so they draw no noise.
+  // Flips: the i.i.d. per-element word draws, but at the chunk's state
+  // BER and from the per-message noise stream. Lost chunks never arrive,
+  // so they draw no noise.
   const Int8Quantizer q =
       Int8Quantizer::calibrate(std::span<const float>(row, dim));
   for (std::size_t d = 0; d < dim; ++d) {
     const std::size_t k = d / chunk;
     if (scratch.chunk_lost[k]) continue;
     const double ber = scratch.chunk_bad[k] ? c.ber_bad : c.ber_good;
-    if (ber <= 0.0) continue;
-    std::uint8_t mask = 0;
-    for (int b = 0; b < 8; ++b)
-      if (noise.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
-    if (mask != 0) {
-      cnt.corrupted += static_cast<std::size_t>(std::popcount(mask));
-      row[d] = q.dequantize(static_cast<std::int8_t>(
-          static_cast<std::uint8_t>(q.quantize(row[d])) ^ mask));
-    }
+    if (ber > 0.0) cnt.corrupted += flip_word(row[d], q, ber, noise);
   }
 
   // Erasure: the receiver substitutes zeros for chunks that never came.
@@ -217,124 +210,53 @@ void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
   }
 }
 
-void CommChannel::transmit_row_fleet(float* row, std::size_t dim,
-                                     const Rng& rng, std::uint64_t seq,
-                                     std::uint64_t attempt,
-                                     RowScratch& scratch,
-                                     LaneCounters& cnt) const {
-  ++cnt.messages;
-  if (dim == 0) return;  // empty payload: counted, no bytes (as serial)
-  cnt.bytes += dim + sizeof(float);
-  if (bursty_.active && !bursty_degenerate(bursty_)) {
-    transmit_row_bursty_on(row, dim, rng, seq, attempt, scratch, cnt);
-    return;
-  }
-  const double ber = bursty_.active ? bursty_.ber_good : ber_;
-  if (ber <= 0.0) return;
-  // Fleet-mode i.i.d. flips ride the burst plane's derived-stream
-  // discipline (the default stream_tag is a valid key namespace even
-  // with the burst plane off): per-(seq, attempt) noise streams keep the
-  // fan thread-count invariant at the cost of realizing a different —
-  // equally i.i.d. — flip pattern than the legacy advancing stream.
-  Rng noise = attempt == 0
-                  ? rng.derive_stream({bursty_.stream_tag, kChannelNoiseTag,
-                                       seq})
-                  : rng.derive_stream({bursty_.stream_tag, kChannelNoiseTag,
-                                       seq, attempt});
-  float* FRLFI_RESTRICT out = row;
-  const Int8Quantizer q =
-      Int8Quantizer::calibrate(std::span<const float>(out, dim));
-  for (std::size_t d = 0; d < dim; ++d) {
-    const std::uint8_t word = static_cast<std::uint8_t>(q.quantize(out[d]));
-    std::uint8_t mask = 0;
-    for (int b = 0; b < 8; ++b)
-      if (noise.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
-    if (mask != 0) {
-      cnt.corrupted += static_cast<std::size_t>(std::popcount(mask));
-      out[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
-    }
-  }
-}
-
-CommChannel::UploadOutcome CommChannel::transmit_upload_fleet(
-    float* row, std::size_t dim, const Rng& rng, std::uint64_t seq,
-    const UploadProtocolConfig& cfg, RowScratch& scratch,
-    LaneCounters& cnt) const {
-  UploadOutcome out;
-  if (!reliable_upload_armed(cfg)) {
-    transmit_row_fleet(row, dim, rng, seq, 0, scratch, cnt);
-    return out;
-  }
-  scratch.orig.assign(row, row + dim);
-  const auto clean = [&] {
-    return std::equal(row, row + dim, scratch.orig.begin());
-  };
-  double elapsed = cfg.attempt_timeout;
-  transmit_row_fleet(row, dim, rng, seq, 0, scratch, cnt);
-  while (!clean()) {
-    if (out.attempts > cfg.max_retries) break;
-    const double backoff =
-        cfg.backoff_base * std::ldexp(1.0, static_cast<int>(out.attempts) - 1);
-    if (elapsed + backoff + cfg.attempt_timeout > cfg.deadline) break;
-    elapsed += backoff + cfg.attempt_timeout;
-    out.backoff += backoff;
-    ++out.attempts;
-    cnt.retransmit_bytes += dim + sizeof(float);
-    std::copy(scratch.orig.begin(), scratch.orig.end(), row);
-    // Retry r keys its streams by (seq, r): fresh weather per attempt,
-    // same sequence number, so the fan layout never shifts.
-    transmit_row_fleet(row, dim, rng, seq, out.attempts - 1, scratch, cnt);
-  }
-  out.delivered = clean();
-  // A failed upload leaves the clean payload in the row: that is what the
-  // eventual off-deadline retransmission delivers, and what the server
-  // folds into the staleness buffer.
-  if (!out.delivered)
-    std::copy(scratch.orig.begin(), scratch.orig.end(), row);
-  return out;
-}
-
 void CommChannel::transmit_uploads(float* const* uploads,
                                    std::size_t n_uploads, std::size_t dim,
-                                   const Rng& rng, ThreadPool& pool,
+                                   Rng& rng, ThreadPool* pool,
                                    const UploadProtocolConfig* proto,
                                    const std::uint8_t* reliable_mask,
                                    UploadOutcome* outcomes) {
   if (n_uploads == 0) return;
-  // Claim the whole round's sequence numbers up front: upload u rides
-  // seq_base + u no matter how the lanes carve the range, which is the
-  // entire thread-count-invariance argument.
+  // Fleet keying claims the whole call's sequence numbers up front:
+  // upload u rides seq_base + u no matter how the lanes carve the range,
+  // which is the entire thread-count-invariance argument. The serial
+  // stream claims one number per attempt as it goes.
+  const bool fleet = pool != nullptr;
   const std::uint64_t seq_base = seq_;
-  seq_ += n_uploads;
-  const std::size_t lanes = std::min(pool.size(), n_uploads);
-  if (fleet_scratch_.size() < lanes) fleet_scratch_.resize(lanes);
-  fleet_counters_.assign(lanes, LaneCounters{});
+  if (fleet) seq_ += n_uploads;
+  const std::size_t lanes = fleet ? std::min(pool->size(), n_uploads) : 1;
+  if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
+  lane_counters_.assign(lanes, LaneCounters{});
   const bool armed = proto != nullptr && reliable_upload_armed(*proto);
-  // Lane-indexed fan: one body index per lane, each lane re-deriving its
-  // contiguous upload shard from shard_range so scratch and counters are
-  // strictly lane-local until the join.
-  pool.parallel_for(lanes, [&](std::size_t lane_b, std::size_t lane_e) {
+  // Lane-indexed body: each lane re-derives its contiguous upload shard
+  // from shard_range, so scratch and counters are strictly lane-local
+  // until the fold below.
+  parallel_for(pool, lanes, [&](std::size_t lane_b, std::size_t lane_e) {
     for (std::size_t lane = lane_b; lane < lane_e; ++lane) {
-      RowScratch& scratch = fleet_scratch_[lane];
-      LaneCounters& cnt = fleet_counters_[lane];
+      RowScratch& scratch = lane_scratch_[lane];
+      LaneCounters& cnt = lane_counters_[lane];
       std::size_t b = 0, e = 0;
       shard_range(n_uploads, lanes, lane, b, e);
       for (std::size_t u = b; u < e; ++u) {
-        const std::uint64_t seq = seq_base + u;
-        if (armed && (reliable_mask == nullptr || reliable_mask[u] != 0)) {
-          const UploadOutcome o =
-              transmit_upload_fleet(uploads[u], dim, rng, seq, *proto,
-                                    scratch, cnt);
-          if (outcomes != nullptr) outcomes[u] = o;
-        } else {
-          transmit_row_fleet(uploads[u], dim, rng, seq, 0, scratch, cnt);
-          if (outcomes != nullptr) outcomes[u] = UploadOutcome{};
-        }
+        float* row = uploads[u];
+        const auto attempt = [&](std::uint64_t k) {
+          if (fleet)
+            transmit_message(row, dim, rng, nullptr, seq_base + u, k,
+                             scratch, cnt);
+          else
+            transmit_message(row, dim, rng, &rng, seq_++, 0, scratch, cnt);
+        };
+        UploadOutcome out;
+        if (armed && (reliable_mask == nullptr || reliable_mask[u] != 0))
+          out = retry_until_clean(row, dim, *proto, scratch.orig,
+                                  cnt.retransmit_bytes, attempt);
+        else
+          attempt(0);
+        if (outcomes != nullptr) outcomes[u] = out;
       }
     }
   });
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const LaneCounters& cnt = fleet_counters_[lane];
+  for (const LaneCounters& cnt : lane_counters_) {
     messages_ += cnt.messages;
     bytes_ += cnt.bytes;
     corrupted_ += cnt.corrupted;
@@ -345,48 +267,10 @@ void CommChannel::transmit_uploads(float* const* uploads,
 }
 
 void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
-                                std::size_t dim, const Rng& rng,
-                                ThreadPool& pool) {
-  if (n_rows == 0) return;
-  fleet_rows_.resize(n_rows);
-  for (std::size_t r = 0; r < n_rows; ++r) fleet_rows_[r] = rows + r * dim;
-  transmit_uploads(fleet_rows_.data(), n_rows, dim, rng, pool);
-}
-
-CommChannel::UploadOutcome CommChannel::transmit_reliable(
-    float* row, std::size_t dim, Rng& rng, const UploadProtocolConfig& cfg) {
-  UploadOutcome out;
-  if (!reliable_upload_armed(cfg)) {
-    // Disabled or zero-retry: a single unverified attempt — byte-for-byte
-    // the plain transmit (nothing could be done about corruption anyway).
-    transmit_rows(row, 1, dim, rng);
-    return out;
-  }
-  scratch_.orig.assign(row, row + dim);
-  const auto clean = [&] {
-    return std::equal(row, row + dim, scratch_.orig.begin());
-  };
-  double elapsed = cfg.attempt_timeout;
-  transmit_rows(row, 1, dim, rng);
-  while (!clean()) {
-    if (out.attempts > cfg.max_retries) break;
-    const double backoff =
-        cfg.backoff_base * std::ldexp(1.0, static_cast<int>(out.attempts) - 1);
-    if (elapsed + backoff + cfg.attempt_timeout > cfg.deadline) break;
-    elapsed += backoff + cfg.attempt_timeout;
-    out.backoff += backoff;
-    ++out.attempts;
-    retransmit_bytes_ += dim + sizeof(float);
-    std::copy(scratch_.orig.begin(), scratch_.orig.end(), row);
-    transmit_rows(row, 1, dim, rng);
-  }
-  out.delivered = clean();
-  // A failed upload leaves the clean payload in the row: that is what the
-  // eventual off-deadline retransmission delivers, and what the server
-  // folds into the staleness buffer.
-  if (!out.delivered)
-    std::copy(scratch_.orig.begin(), scratch_.orig.end(), row);
-  return out;
+                                std::size_t dim, Rng& rng) {
+  row_ptrs_.resize(n_rows);
+  for (std::size_t r = 0; r < n_rows; ++r) row_ptrs_[r] = rows + r * dim;
+  transmit_uploads(row_ptrs_.data(), n_rows, dim, rng, nullptr);
 }
 
 void CommChannel::reset_counters() {

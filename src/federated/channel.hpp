@@ -9,8 +9,7 @@
 /// Two fault planes ride the link:
 ///
 ///  * **I.i.d. flips** (the paper's model): every bit of every payload
-///    flips independently at `bit_error_rate()`. This is the scalar
-///    golden path and the only one the seed knew.
+///    flips independently at `bit_error_rate()`.
 ///  * **The bursty/unreliable plane** (BurstyChannelConfig): a
 ///    Gilbert–Elliott two-state channel whose per-chunk BER switches
 ///    between a good and a bad state, plus chunk-level erasure (lost
@@ -20,28 +19,29 @@
 ///    RNG with the non-advancing split discipline, keyed by a persistent
 ///    transmit sequence number. The caller's stream is never advanced by
 ///    the bursty path, a degenerate config (equal-state BERs, no
-///    erasure/reordering) delegates verbatim to the i.i.d. path (bits,
-///    counters and RNG stream position locked identical), and the
-///    sequence number travels with the engine's TrainingState so a
-///    mid-campaign resume replays the same channel weather.
+///    erasure/reordering) takes the i.i.d. path verbatim (bits, counters
+///    and RNG stream position locked identical), and the sequence number
+///    travels with the engine's TrainingState so a mid-campaign resume
+///    replays the same channel weather.
 ///
-/// On top of either plane, transmit_reliable() runs the checksum/retry/
-/// timeout upload protocol of UploadProtocolConfig (see server.hpp for
-/// how exhausted uploads degrade into the participation plane).
+/// transmit_uploads() is the one upload entry point: it optionally runs
+/// the checksum/retry/timeout protocol of UploadProtocolConfig on top of
+/// either plane (see server.hpp for how exhausted uploads degrade into
+/// the participation plane). Only how an attempt is *keyed* depends on
+/// whether a ThreadPool is passed:
 ///
-/// **The fleet plane** (transmit_uploads / the pool transmit_rows
-/// overload) is the thousand-agent round path: every upload rides its own
-/// derived (non-advancing) streams keyed by a per-upload sequence number,
-/// so the uploads fan across a ThreadPool with bit-identical results at
-/// any lane count — a 1-lane pool IS the serial golden path. Burst-plane
-/// uploads produce the exact bits the legacy serial path produces (both
-/// are already per-seq derived); i.i.d. flips in fleet mode move onto the
-/// same derived-stream discipline (keyed under the bursty stream_tag, a
-/// valid namespace even when the burst plane is off), which is a
-/// different — equally i.i.d. — noise realization than the legacy
-/// advancing stream, and never advances the caller's RNG. Retry attempt
-/// k > 0 adds the attempt index to the stream key, so a zero-retry
-/// protocol stays byte-for-byte the plain fleet transmit.
+///  * **No pool (the legacy serial stream).** Uploads go in order, every
+///    attempt claims the next sequence number, and i.i.d. flips draw from
+///    the caller's advancing RNG.
+///  * **A pool (the fleet fan).** Each upload claims one sequence number
+///    up front and rides derived (non-advancing) streams keyed by it —
+///    retry attempt k > 0 adds k to the key — so the uploads fan across
+///    the pool with bit-identical results at any lane count. Burst-plane
+///    bits of single-attempt uploads match the serial stream exactly
+///    (both are per-seq derived); i.i.d. flips move onto the derived
+///    discipline (keyed under the bursty stream_tag, a valid namespace
+///    even when the burst plane is off), a different — equally i.i.d. —
+///    noise realization than the advancing stream.
 
 #include <cstddef>
 #include <cstdint>
@@ -125,68 +125,43 @@ class CommChannel {
   ///        payload in transit (0 = clean channel).
   explicit CommChannel(double bit_error_rate = 0.0);
 
-  /// Transmit a parameter vector: quantize to int8, flip bits at the
-  /// channel BER, dequantize. Clean channels still round-trip through
-  /// int8 — the over-the-air representation is quantized either way.
-  /// This is the scalar golden reference transmit_rows is locked against.
-  std::vector<float> transmit(const std::vector<float>& payload, Rng& rng);
-
-  /// Transmit n_rows payloads held in a row-major n_rows x dim matrix, in
-  /// place — the batched uplink/downlink of a federated round. Row i is
-  /// processed exactly as transmit(row i) would be (per-row calibration,
-  /// one 8-draw Bernoulli word per element in row-major order), but the
-  /// per-element flips collapse into a single XOR mask (the fixed-point
-  /// injector's mask trick) and no per-row payload vectors are
-  /// allocated. Consumes `rng` identically to n_rows scalar transmits, so
-  /// the delivered bits and every counter match the scalar path. With a
-  /// non-degenerate bursty config armed, each row instead rides the
-  /// burst plane on its own derived streams and `rng` is not advanced.
-  void transmit_rows(float* rows, std::size_t n_rows, std::size_t dim,
-                     Rng& rng);
-
-  /// One upload under the retry protocol: transmit `row` (dim floats, in
-  /// place), verify the checksum, retransmit with exponential backoff
-  /// until delivered, out of retries, or out of deadline budget. On
-  /// success the row holds the clean delivery; on failure it is restored
-  /// to the original payload (what an eventual late retransmission would
-  /// deliver — the server routes it into the staleness buffer). Retry
-  /// attempts charge bytes_sent and retransmit_bytes.
+  /// Outcome of one upload under the retry protocol.
   struct UploadOutcome {
     std::size_t attempts = 1;
     bool delivered = true;
     /// Simulated seconds spent backing off between attempts.
     double backoff = 0.0;
   };
-  UploadOutcome transmit_reliable(float* row, std::size_t dim, Rng& rng,
-                                  const UploadProtocolConfig& cfg);
 
-  /// Fleet-mode batched transmit: the rows of a row-major n_rows x dim
-  /// matrix fan across `pool`, each riding derived streams keyed by its
-  /// own transmit sequence number (see the file comment). Bit-identical
-  /// at every pool size — a 1-lane pool is the serial golden path — and
-  /// `rng` is never advanced. Burst-plane rows carry the exact bits the
-  /// serial transmit_rows produces; i.i.d. rows carry a derived-stream
-  /// noise realization instead of the legacy advancing one.
-  void transmit_rows(float* rows, std::size_t n_rows, std::size_t dim,
-                     const Rng& rng, ThreadPool& pool);
-
-  /// Fleet-mode upload fan: transmit `n_uploads` payloads (uploads[u]
-  /// points at dim floats, corrupted in place) across `pool` under the
-  /// per-upload derived-stream discipline. One sequence number per
-  /// upload, claimed contiguously up front; retry attempts (when `proto`
-  /// is armed) key their streams by (seq, attempt), so the schedule is
-  /// independent of lane count and of the other uploads' retry activity.
-  /// `reliable_mask` (optional, n_uploads bytes) limits the retry
-  /// protocol to the uploads marked nonzero — unmarked uploads take the
-  /// plain single-attempt path, as the server does for stragglers.
-  /// Outcomes (attempts/delivered/backoff) land in `outcomes[u]` when
-  /// provided. Counters account every attempt, exactly as the serial
-  /// reliable path would.
+  /// Transmit `n_uploads` payloads (uploads[u] points at dim floats,
+  /// corrupted in place): quantize to int8 with per-payload calibration,
+  /// flip bits on the active plane, dequantize the touched words. Clean
+  /// channels deliver losslessly — the endpoints share the codec.
+  ///
+  /// `pool` selects the attempt keying (see the file comment): null is
+  /// the legacy serial stream on `rng`; a pool fans the uploads on
+  /// derived streams and never advances `rng`.
+  ///
+  /// With `proto` armed (reliable_upload_armed), each upload marked
+  /// nonzero in `reliable_mask` (all of them when the mask is null)
+  /// verifies its checksum and retransmits with exponential backoff until
+  /// delivered, out of retries, or out of deadline budget. A delivered
+  /// upload holds the clean payload; a failed one is restored to the
+  /// original payload (what an eventual late retransmission would deliver
+  /// — the server routes it into the staleness buffer). Unmarked uploads
+  /// take the plain single attempt, as the server does for stragglers.
+  /// Outcomes land in `outcomes[u]` when provided. Every attempt charges
+  /// messages_sent and bytes_sent; retries also charge retransmit_bytes.
   void transmit_uploads(float* const* uploads, std::size_t n_uploads,
-                        std::size_t dim, const Rng& rng, ThreadPool& pool,
+                        std::size_t dim, Rng& rng, ThreadPool* pool,
                         const UploadProtocolConfig* proto = nullptr,
                         const std::uint8_t* reliable_mask = nullptr,
                         UploadOutcome* outcomes = nullptr);
+
+  /// transmit_uploads on the rows of a row-major n_rows x dim matrix, on
+  /// the legacy serial stream.
+  void transmit_rows(float* rows, std::size_t n_rows, std::size_t dim,
+                     Rng& rng);
 
   /// Channel BER currently in force (the i.i.d. plane; ignored while a
   /// bursty config is active).
@@ -241,9 +216,9 @@ class CommChannel {
     std::vector<float> orig;
   };
 
-  /// Cost/corruption counters accumulated lane-locally during a fleet
-  /// fan and folded into the channel totals after the join — size_t sums
-  /// are associative, so the totals are lane-count invariant.
+  /// Cost/corruption counters accumulated lane-locally during a call and
+  /// folded into the channel totals after it — size_t sums are
+  /// associative, so the totals are lane-count invariant.
   struct LaneCounters {
     std::size_t messages = 0;
     std::size_t bytes = 0;
@@ -253,33 +228,23 @@ class CommChannel {
     std::size_t reordered = 0;
   };
 
+  /// One message attempt: counters/bytes accounting plus the plane
+  /// dispatch (burst plane, i.i.d. flips, or clean). I.i.d. flips draw
+  /// from `serial_noise` when it is non-null (the legacy advancing
+  /// stream), else from a noise stream derived off `base` and keyed by
+  /// (seq, attempt). Burst-plane streams are always derived: attempt 0
+  /// keys them by (tag, kind, seq), retry attempt k > 0 by
+  /// (tag, kind, seq, k).
+  void transmit_message(float* row, std::size_t dim, const Rng& base,
+                        Rng* serial_noise, std::uint64_t seq,
+                        std::uint64_t attempt, RowScratch& scratch,
+                        LaneCounters& cnt) const;
+
   /// One message through the non-degenerate burst plane: weather/erasure/
-  /// reorder from the state stream, flips from the noise stream, both
-  /// derived (non-advancing) off `rng` and keyed by `seq`.
-  void transmit_row_bursty(float* row, std::size_t dim, const Rng& rng,
-                           std::uint64_t seq);
-
-  /// Burst-plane body shared by the serial and fleet paths: all scratch
-  /// and counters are the caller's, so it is safe on any lane. attempt 0
-  /// keys streams by (tag, kind, seq) — the serial path's exact keys —
-  /// and retry attempt k > 0 by (tag, kind, seq, k).
-  void transmit_row_bursty_on(float* row, std::size_t dim, const Rng& rng,
-                              std::uint64_t seq, std::uint64_t attempt,
-                              RowScratch& scratch, LaneCounters& cnt) const;
-
-  /// One fleet-mode message: counters/bytes accounting plus the plane
-  /// dispatch (burst plane, derived-stream i.i.d. flips, or clean).
-  void transmit_row_fleet(float* row, std::size_t dim, const Rng& rng,
-                          std::uint64_t seq, std::uint64_t attempt,
-                          RowScratch& scratch, LaneCounters& cnt) const;
-
-  /// One fleet-mode upload under the retry protocol (the lane-safe
-  /// counterpart of transmit_reliable; see transmit_uploads).
-  UploadOutcome transmit_upload_fleet(float* row, std::size_t dim,
-                                      const Rng& rng, std::uint64_t seq,
-                                      const UploadProtocolConfig& cfg,
-                                      RowScratch& scratch,
-                                      LaneCounters& cnt) const;
+  /// reorder from the state stream, flips from the noise stream.
+  void transmit_bursty(float* row, std::size_t dim, const Rng& base,
+                       std::uint64_t seq, std::uint64_t attempt,
+                       RowScratch& scratch, LaneCounters& cnt) const;
 
   double ber_;
   BurstyChannelConfig bursty_;
@@ -290,13 +255,11 @@ class CommChannel {
   std::size_t chunks_erased_ = 0;
   std::size_t reordered_ = 0;
   std::uint64_t seq_ = 0;
-  // Serial-path scratch, reused across messages.
-  RowScratch scratch_;
-  // Fleet-fan scratch: one RowScratch + counter block per lane (grow-only
-  // across rounds) and the row-pointer table of the matrix overload.
-  std::vector<RowScratch> fleet_scratch_;
-  std::vector<LaneCounters> fleet_counters_;
-  std::vector<float*> fleet_rows_;
+  // Per-lane scratch and counter blocks (grow-only across calls; the
+  // serial stream uses lane 0) and transmit_rows' row-pointer table.
+  std::vector<RowScratch> lane_scratch_;
+  std::vector<LaneCounters> lane_counters_;
+  std::vector<float*> row_ptrs_;
 };
 
 }  // namespace frlfi

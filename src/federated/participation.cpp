@@ -105,9 +105,4 @@ void ParticipationStats::accumulate(const RoundParticipationReport& rep) {
   if (rep.contributors < 2) ++degenerate_rounds;
 }
 
-void ParticipationStats::accumulate_full_round(std::size_t n_agents) {
-  ++rounds;
-  present += n_agents;
-}
-
 }  // namespace frlfi

@@ -14,25 +14,26 @@
 ///    advances the parent, so fanning agents across core/parallel's
 ///    dispatch_lanes (Config::threads: 1 serial, 0 auto, N explicit)
 ///    produces bit-identical training for every thread count.
-///  * **The batched server round.** Uploads gather straight into a
-///    preallocated row-major n x dim round matrix (no per-agent
-///    flat_parameters() vectors), ParameterServer::communicate_rows runs
-///    the uplink/smoothing/hook/downlink on row kernels, and downlinks
-///    scatter back from the same rows.
+///  * **One server round.** Every communication round — plan-free or
+///    degraded — gathers the sending agents straight into a
+///    participant-compacted row matrix (no per-agent flat_parameters()
+///    vectors), ParameterServer::communicate_round runs the uplink/
+///    smoothing/hook/downlink on row kernels, and downlinks scatter back
+///    from the same rows. A plan-free round is the all-Present case.
 ///  * **Training faults and §V-A mitigation.** Fault timing, victim
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
 ///    stream), the reward-drop monitor and the checkpoint store.
 ///  * **The degraded-participation plane.** An armed ParticipationPlan
 ///    resolves per-(round, agent) statuses on its own derived RNG plane
-///    (never the training stream), routes the round through
-///    ParameterServer::communicate_round (partial averaging, staleness
-///    buffer, Byzantine screening), and surfaces per-round reports via
-///    the optional on_round hook. A plan resolving to full participation
-///    with screening off stays bit-identical to the plan-free engine,
-///    RNG stream position included. Dropped agents keep training locally
-///    on their stale parameters — offline means disconnected from the
-///    server, not halted.
+///    (never the training stream), which the server round turns into
+///    partial averaging, the staleness buffer and Byzantine screening;
+///    per-round reports surface via the optional on_round hook. A plan
+///    resolving to full participation with screening off stays
+///    bit-identical to the plan-free engine, RNG stream position
+///    included. Dropped agents keep training locally on their stale
+///    parameters — offline means disconnected from the server, not
+///    halted.
 ///
 /// The engine is deliberately ignorant of environments, learners and
 /// network topology — that is the whole system-specific surface, and it
@@ -86,16 +87,18 @@ class FederatedRoundEngine {
     /// every value — per-(episode, agent) derived RNG streams plus
     /// disjoint agent state make the lane partition invisible.
     std::size_t threads = 1;
-    /// Worker lanes for the *server* round — the fleet-scale path. 0
-    /// (default) keeps the legacy serial round byte-for-byte (advancing
-    /// channel RNG, full n x dim matrices). N >= 1 arms the fleet
-    /// discipline: channel transmits fan per-(seq, row) on derived
-    /// streams, the aggregation kernels run pool-parallel, and degraded
-    /// rounds use participant-compacted O(participants) storage. Results
-    /// are bit-identical across all N >= 1 — server_threads == 1 is the
-    /// fleet serial golden path (it differs from the legacy path only in
-    /// the i.i.d. channel-noise realization; burst-plane bits match the
-    /// legacy round exactly).
+    /// Worker lanes for the *server* round — the fleet-scale path. Both
+    /// settings run the same participant-compacted round; they differ in
+    /// the channel keying and where the aggregation loops run. 0
+    /// (default) keeps the legacy serial channel stream (advancing
+    /// channel RNG, one sequence number per transmit attempt) with the
+    /// loops inline. N >= 1 arms the fleet discipline: channel transmits
+    /// fan per-(seq, attempt) on derived streams and the aggregation
+    /// kernels run pool-parallel. Results are bit-identical across all
+    /// N >= 1; server_threads == 1 is the fleet serial golden path. It
+    /// differs from 0 only in the i.i.d. channel-noise realization and
+    /// the keying of retry attempts — burst-plane rounds without retries
+    /// match bit for bit.
     std::size_t server_threads = 0;
   };
 
@@ -225,16 +228,16 @@ class FederatedRoundEngine {
   const Config& config() const { return cfg_; }
 
   /// Bytes currently retained by the engine + server round buffers (round
-  /// matrices, aggregates, scratch). The fleet acceptance gate: with
-  /// server_threads armed and partial participation this scales with the
-  /// participants of a round, not the fleet roster.
+  /// matrices, aggregates, scratch). The fleet acceptance gate: at partial
+  /// participation this scales with the participants of a round, not the
+  /// fleet roster, at every server_threads setting.
   std::size_t round_buffer_bytes() const;
 
  private:
   void run_training_episode();
   void inject_training_fault_if_due();
   void communicate_if_due();
-  void communicate_degraded_round();
+  void communicate_round();
   void apply_mitigation(const std::vector<double>& rewards);
   std::size_t effective_comm_interval() const;
 
@@ -253,11 +256,8 @@ class FederatedRoundEngine {
   std::optional<RewardDropMonitor> monitor_;
   CheckpointStore checkpoints_;
   MitigationStats mit_stats_;
-  // Round matrices, lazily grown and pooled across rounds: the full
-  // n x dim matrix (synchronous rounds and the legacy degraded path) and
-  // the participant-compacted sender matrix + agent index map of the
-  // fleet degraded path (~participants x dim).
-  std::vector<float> round_matrix_;
+  // The round's participant-compacted sender matrix (~participants x
+  // dim, lazily grown and pooled across rounds) and its agent index map.
   std::vector<float> compact_matrix_;
   std::vector<std::size_t> compact_agents_;
   std::vector<double> rewards_;

@@ -3,9 +3,18 @@
 /// \file server.hpp
 /// The designated-agent parameter server of the FRL system: collects
 /// per-agent uploads over a CommChannel, runs the smoothing average, and
-/// broadcasts the per-agent results back. Fault hooks allow corrupting the
-/// aggregated state (the paper's "server faults"), and the mitigation
-/// module attaches its checkpoint store here.
+/// broadcasts the per-agent results back. A post-aggregation rows hook
+/// lets the round engine corrupt the aggregated state (the paper's
+/// "server faults").
+///
+/// There is one round, communicate_round, over participant-compacted
+/// sender rows. A synchronous round is the all-Present case with the
+/// identity index map; degraded rounds (dropouts, stragglers, Byzantine
+/// senders, screening, the retry protocol) are the general case. A null
+/// ThreadPool runs every step inline on the legacy serial channel stream;
+/// a pool fans the channel and the aggregation kernels across its lanes
+/// with bit-identical results at every lane count (see channel.hpp for
+/// the one difference between the two: the i.i.d. noise realization).
 
 #include <cstdint>
 #include <functional>
@@ -45,37 +54,6 @@ class ParameterServer {
   CommChannel& channel() { return channel_; }
   const CommChannel& channel() const { return channel_; }
 
-  /// Run one communication round: each agent's parameters are transmitted
-  /// up, smoothed, passed through the post-aggregation hook (fault
-  /// injection / checkpoint restore), and transmitted back down. Returns
-  /// the per-agent downlink payloads.
-  ///
-  /// Compatibility wrapper over communicate_rows: packs the uploads into
-  /// the round matrix, runs the batched round, unpacks — byte-identical
-  /// results and RNG consumption.
-  std::vector<std::vector<float>> communicate(
-      const std::vector<std::vector<float>>& agent_parameters, Rng& rng);
-
-  /// The batched round the federated round engine drives: `rows` is a
-  /// row-major n x dim matrix holding agent i's upload in row i on entry
-  /// and its downlink payload on return. Uplink transmit, smoothing
-  /// average, consensus, hook and downlink transmit all run on
-  /// preallocated row-major storage (transmit_rows /
-  /// smoothing_average_rows / mean_parameters_rows) — no per-agent vector
-  /// allocations — and are bit-identical to the scalar communicate() of
-  /// the same rows (which is now this path).
-  void communicate_rows(std::span<float> rows, Rng& rng);
-
-  /// Fleet-mode synchronous round: the uplink/downlink fan across `pool`
-  /// under the channel's per-sequence derived-stream discipline (rng is
-  /// never advanced), and the aggregation kernels run pool-parallel with
-  /// their column/row partitions. Bit-identical at every pool size — a
-  /// 1-lane pool is the fleet serial golden path. Burst-plane channel
-  /// bits also match the legacy serial round exactly; i.i.d. flips are a
-  /// different (derived-stream) realization, see channel.hpp.
-  void communicate_rows(std::span<float> rows, const Rng& rng,
-                        ThreadPool& pool);
-
   /// Server-side knobs of one degraded round (engine-derived from the
   /// ParticipationPlan; the server never sees schedule probabilities,
   /// only resolved statuses).
@@ -106,56 +84,47 @@ class ParameterServer {
     std::vector<float> data;
   };
 
-  /// The degraded-participation round: same preallocated row matrix as
-  /// communicate_rows, but only rows whose status sends transmit uplink,
-  /// straggler payloads detour through the staleness buffer, the
-  /// smoothing average runs over the weighted contributor set (on-time
-  /// survivors + due stale rows) with optional Byzantine screening, and
-  /// only receiving rows get the downlink. A round whose statuses resolve
-  /// to all-Present with screening off and an empty buffer takes the
-  /// communicate_rows path verbatim — bit-identical aggregate, RNG
-  /// consumption and channel counters. With the retry protocol armed,
-  /// on-time uploads go through CommChannel::transmit_reliable; an
-  /// upload that exhausts its budget is excluded from the aggregate and
-  /// the downlink, and its clean payload degrades into the staleness
-  /// buffer (or is dropped) — the failure is absorbed by the
-  /// participation machinery instead of poisoning the round. Rows of
-  /// non-receiving agents are left untouched in `rows` except that a
-  /// failed uploader's row holds its own clean payload (the caller must
-  /// not scatter either).
+  /// One communication round. `sender_rows` is a row-major
+  /// n_senders x dim matrix holding, in ascending agent order, the upload
+  /// of every agent whose status sends (Present / Straggler / Byzantine;
+  /// `sender_agents[j]` is row j's agent index). A synchronous round
+  /// passes all-Present statuses and the identity map.
+  ///
+  /// Steps: senders transmit uplink (on-time senders under the retry
+  /// protocol when opts.upload is armed; stragglers keep the single
+  /// plain transmit); straggler payloads and exhausted uploads detour
+  /// through the staleness buffer; the smoothing average runs over the
+  /// weighted contributor set (on-time survivors + due stale rows) with
+  /// optional Byzantine screening; consensus is the mean of the
+  /// receivers' aggregates; receivers get the downlink. An upload that
+  /// exhausts its retry budget is excluded from the aggregate and the
+  /// downlink, and its clean payload degrades into the staleness buffer
+  /// (or is dropped). With every weight 1 the combine is byte-for-byte
+  /// the synchronous smoothing average of aggregation.hpp.
+  ///
+  /// On return, row j holds agent sender_agents[j]'s downlink payload
+  /// when that agent receives, its clean payload after a failed reliable
+  /// upload, and its post-channel upload otherwise (callers must scatter
+  /// only receiving, non-failed rows).
+  ///
+  /// `pool` null keeps the legacy serial round: the channel stream
+  /// advances `rng`, every retry attempt claims a new sequence number,
+  /// and the aggregation loops run inline. A pool fans the channel on
+  /// derived streams (rng is never advanced) and the aggregation kernels
+  /// across its lanes; results are bit-identical at every pool size.
+  /// Burst-plane bits of rounds without retries match between the two.
+  ///
+  /// `run_post_hook` gates the rows hook. When false the combine runs IN
+  /// PLACE over the caller's sender rows and the round retains no
+  /// aggregate matrix at all — the caller asserts the installed hook
+  /// would not observe or mutate anything this round (the round engine
+  /// passes its server-fault-pending flag). When true the zero-filled
+  /// n x dim aggregate matrix (receiver rows populated) is built and the
+  /// hook runs on it before the downlink.
   RoundParticipationReport communicate_round(
-      std::span<float> rows, std::span<const AgentRoundStatus> status,
-      const RobustRoundOptions& opts, Rng& rng);
-
-  /// The fleet-scale degraded round: participant-compacted storage,
-  /// pool-parallel channel fan and aggregation kernels, O(participants)
-  /// memory. `sender_rows` is a row-major n_senders x dim matrix holding,
-  /// in ascending agent order, the upload of every agent whose status
-  /// sends (Present / Straggler / Byzantine — `sender_agents[j]` is row
-  /// j's agent index); receivers are a subset of senders, so on return
-  /// row j holds agent sender_agents[j]'s downlink payload when that
-  /// agent receives (and its clean payload after a failed reliable
-  /// upload); other rows hold their post-channel upload. Semantics match
-  /// communicate_round row for row; with a burst-plane channel and the
-  /// retry protocol unarmed the delivered bits, counters and sequence
-  /// numbers are *identical* to the full-matrix path (both key every
-  /// message by the same per-sender sequence numbers).
-  ///
-  /// `run_post_hook` gates the post-aggregation hook: when false the
-  /// aggregation combines IN PLACE over the caller's sender rows — no
-  /// aggregate matrix is retained at all — because the caller asserts
-  /// the installed hook would not observe or mutate anything this round
-  /// (the round engine passes its server-fault-pending flag). When true
-  /// the full zero-filled n x dim aggregate matrix is built (grow-only,
-  /// only on such rounds) and the hook runs exactly as in
-  /// communicate_round.
-  ///
-  /// Results are bit-identical at every pool size; a 1-lane pool is the
-  /// serial golden path the fleet_round bench gates against.
-  RoundParticipationReport communicate_round_compact(
       std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
       std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
-      const Rng& rng, ThreadPool& pool, bool run_post_hook);
+      Rng& rng, ThreadPool* pool, bool run_post_hook);
 
   /// Bytes currently retained by the round-scratch buffers (aggregate
   /// matrices, row sums, trim/candidate scratch). The fleet acceptance
@@ -170,18 +139,10 @@ class ParameterServer {
   }
   void set_pending_uploads(std::vector<PendingUpload> pending);
 
-  /// Hook invoked after aggregation but before the downlink, receiving the
-  /// mutable per-agent aggregated vectors and the round index. This is
-  /// where ServerFault injection and checkpoint-based recovery attach.
-  void set_post_aggregate_hook(
-      std::function<void(std::size_t round, std::vector<std::vector<float>>&)> hook);
-
-  /// Row-matrix form of the post-aggregation hook, invoked with the
-  /// mutable row-major n x dim aggregate matrix — what the round engine's
-  /// in-place server-fault injection attaches to. When set it replaces
-  /// the vector-of-vectors hook (at most one of the two should be
-  /// installed); the legacy hook, if any, is still honoured by
-  /// communicate_rows through a pack/mutate/unpack adapter.
+  /// Post-aggregation hook, invoked (on rounds run with run_post_hook)
+  /// with the mutable row-major n x dim aggregate matrix and the round
+  /// index — what the round engine's in-place server-fault injection
+  /// attaches to.
   void set_post_aggregate_rows_hook(
       std::function<void(std::size_t round, std::span<float> rows,
                          std::size_t dim)>
@@ -192,28 +153,22 @@ class ParameterServer {
   const std::vector<float>& consensus() const { return consensus_; }
 
  private:
-  /// Post-aggregation hook dispatch shared by communicate_rows and
-  /// communicate_round (rows hook, else the legacy vov adapter).
-  void apply_post_aggregate_hook();
-
   std::size_t n_;
   std::size_t dim_;
   AlphaSchedule schedule_;
   CommChannel channel_;
   std::size_t round_ = 0;
   std::vector<float> consensus_;
-  std::function<void(std::size_t, std::vector<std::vector<float>>&)> hook_;
   std::function<void(std::size_t, std::span<float>, std::size_t)> rows_hook_;
-  // Round scratch, lazily grown and pooled across rounds: the full
-  // n x dim aggregate matrix (only materialized by full-matrix rounds
-  // and hook-bearing compact rounds — hook-free compact rounds combine
-  // in place over the caller's sender rows and retain no aggregate
-  // matrix) and the smoothing row-sum (dim).
+  // Round scratch, lazily grown and pooled across rounds: the n x dim
+  // aggregate matrix (materialized only by hook rounds — other rounds
+  // combine in place over the caller's sender rows) and the smoothing
+  // row-sum (dim).
   std::vector<float> agg_;
   std::vector<float> total_;
-  // Degraded-round state and scratch: straggler uploads in flight plus
-  // the contributor bookkeeping of communicate_round (row pointers /
-  // weights / per-agent on-time flags / trimmed-mean buffers).
+  // Straggler uploads in flight plus the contributor bookkeeping (row
+  // pointers / weights / agents, per-agent on-time and failed-upload
+  // flags, trimmed-mean buffers).
   std::vector<PendingUpload> pending_;
   std::vector<const float*> cand_rows_;
   std::vector<float> cand_weights_;
@@ -222,11 +177,11 @@ class ParameterServer {
   std::vector<std::uint8_t> upload_failed_;
   std::vector<float> trim_out_;
   std::vector<float> trim_scratch_;
-  // Fleet-round scratch: channel fan pointer/mask/outcome tables, the
+  // Channel call tables (row pointers, reliable mask, outcomes), the
   // receiver row list, and the screening norm buffers.
-  std::vector<float*> fleet_ptrs_;
-  std::vector<std::uint8_t> fleet_mask_;
-  std::vector<CommChannel::UploadOutcome> fleet_outcomes_;
+  std::vector<float*> row_ptrs_;
+  std::vector<std::uint8_t> reliable_mask_;
+  std::vector<CommChannel::UploadOutcome> outcomes_;
   std::vector<std::size_t> recv_idx_;
   std::vector<double> norms_;
   std::vector<double> norms_sorted_;

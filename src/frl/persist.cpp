@@ -1,5 +1,6 @@
 #include "frl/persist.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <istream>
 #include <ostream>
@@ -46,10 +47,19 @@ void write_floats(std::ostream& os, const std::vector<float>& v) {
 std::vector<float> read_floats(std::istream& is) {
   const std::uint64_t n = read_u64(is);
   FRLFI_CHECK_MSG(n < (1ull << 32), "implausible vector length " << n);
-  std::vector<float> v(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(float)));
-  FRLFI_CHECK_MSG(is.good(), "truncated FRL-FI state stream");
+  // Grow in bounded chunks: a corrupt length field then costs at most one
+  // chunk beyond the bytes the stream actually holds, never an up-front
+  // allocation of the claimed size.
+  constexpr std::uint64_t kChunk = 1u << 16;
+  std::vector<float> v;
+  while (v.size() < n) {
+    const std::size_t done = v.size();
+    const auto take = static_cast<std::size_t>(std::min(kChunk, n - done));
+    v.resize(done + take);
+    is.read(reinterpret_cast<char*>(v.data() + done),
+            static_cast<std::streamsize>(take * sizeof(float)));
+    FRLFI_CHECK_MSG(is.good(), "truncated FRL-FI state stream");
+  }
   return v;
 }
 

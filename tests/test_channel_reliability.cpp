@@ -9,10 +9,11 @@
 ///    replays deterministically from (stream, seq), erases and reorders
 ///    chunks as configured, and degraded training under it is
 ///    thread-count invariant;
-///  * transmit_reliable: a disabled or zero-retry protocol is
-///    byte-for-byte the plain transmit; retry/backoff/deadline
-///    accounting matches the closed-form schedule; failed uploads
-///    restore the clean payload;
+///  * the retry protocol of transmit_uploads: a disabled or zero-retry
+///    protocol is byte-for-byte the plain transmit; retry/backoff/
+///    deadline accounting matches the closed-form schedule under both
+///    the serial and the fleet attempt keying; failed uploads restore
+///    the clean payload;
 ///  * an upload that exhausts its budget is absorbed by the
 ///    participation plane: reported dropped/stale, excluded from
 ///    aggregate and downlink, the aggregate stays finite;
@@ -39,11 +40,24 @@
 #include "federated/round_engine.hpp"
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
+#include "core/parallel.hpp"
 #include "frl/gridworld_system.hpp"
+#include "golden/golden.hpp"
 #include "numeric/bitutil.hpp"
 
 namespace frlfi {
 namespace {
+
+/// One upload through transmit_uploads under `cfg` (serial stream when
+/// `pool` is null, fleet keying otherwise).
+CommChannel::UploadOutcome reliable_upload(CommChannel& ch, float* row,
+                                           std::size_t dim, Rng& rng,
+                                           const UploadProtocolConfig& cfg,
+                                           ThreadPool* pool = nullptr) {
+  CommChannel::UploadOutcome out;
+  ch.transmit_uploads(&row, 1, dim, rng, pool, &cfg, nullptr, &out);
+  return out;
+}
 
 std::vector<float> random_row(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -107,12 +121,15 @@ TEST(BurstyChannel, DegenerateConfigIsBitIdenticalToIid) {
   // RNG stream position: the delegated path consumed identical draws.
   EXPECT_EQ(rng_iid.next_u64(), rng_ge.next_u64());
 
-  // Scalar transmit delegates identically.
+  // And it matches the frozen scalar i.i.d. transmit.
   const auto payload = random_row(33, 7);
   Rng ra(5), rb(5);
-  CommChannel a(kBer), b;
+  golden::ScalarChannel a(kBer);
+  CommChannel b;
   b.set_bursty(degenerate_ge(kBer));
-  EXPECT_EQ(a.transmit(payload, ra), b.transmit(payload, rb));
+  auto delivered = payload;
+  b.transmit_rows(delivered.data(), 1, delivered.size(), rb);
+  EXPECT_EQ(a.transmit(payload, ra), delivered);
   EXPECT_EQ(ra.next_u64(), rb.next_u64());
 }
 
@@ -222,7 +239,7 @@ TEST(ReliableUpload, DisabledOrZeroRetryIsPlainTransmit) {
     Rng ra(6), rb(6);
     a.transmit_rows(plain.data(), 1, dim, ra);
     const CommChannel::UploadOutcome out =
-        b.transmit_reliable(reliable.data(), dim, rb, cfg);
+        reliable_upload(b, reliable.data(), dim, rb, cfg);
     EXPECT_EQ(plain, reliable);
     EXPECT_EQ(out.attempts, 1u);
     EXPECT_TRUE(out.delivered);
@@ -241,7 +258,7 @@ TEST(ReliableUpload, CleanChannelDeliversFirstAttempt) {
   const auto orig = row;
   CommChannel ch;  // BER 0
   Rng rng(3);
-  const auto out = ch.transmit_reliable(row.data(), 40, rng, cfg);
+  const auto out = reliable_upload(ch, row.data(), 40, rng, cfg);
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.attempts, 1u);
   EXPECT_EQ(row, orig);
@@ -263,19 +280,26 @@ TEST(ReliableUpload, ExhaustsRetriesAndRestoresCleanPayload) {
   cfg.backoff_base = 0.5;
   cfg.deadline = 16.0;
   const std::size_t dim = 24;
-  auto row = random_row(dim, 13);
-  const auto orig = row;
-  CommChannel ch;
-  ch.set_bursty(bursty);
-  Rng rng(9);
-  const auto out = ch.transmit_reliable(row.data(), dim, rng, cfg);
-  EXPECT_FALSE(out.delivered);
-  EXPECT_EQ(out.attempts, 4u);
-  EXPECT_EQ(out.backoff, 0.5 + 1.0 + 2.0);  // backoff_base * 2^(k-1)
-  EXPECT_EQ(row, orig);  // what the late retransmission delivers
-  EXPECT_EQ(ch.retransmit_bytes(), 3 * (dim + sizeof(float)));
-  EXPECT_EQ(ch.bytes_sent(), 4 * (dim + sizeof(float)));
-  EXPECT_EQ(rng.next_u64(), Rng(9).next_u64());  // burst plane: no draws
+  ThreadPool pool(1);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto row = random_row(dim, 13);
+    const auto orig = row;
+    CommChannel ch;
+    ch.set_bursty(bursty);
+    Rng rng(9);
+    const auto out = reliable_upload(ch, row.data(), dim, rng, cfg, p);
+    EXPECT_FALSE(out.delivered);
+    EXPECT_EQ(out.attempts, 4u);
+    EXPECT_EQ(out.backoff, 0.5 + 1.0 + 2.0);  // backoff_base * 2^(k-1)
+    EXPECT_EQ(row, orig);  // what the late retransmission delivers
+    EXPECT_EQ(ch.retransmit_bytes(), 3 * (dim + sizeof(float)));
+    EXPECT_EQ(ch.bytes_sent(), 4 * (dim + sizeof(float)));
+    EXPECT_EQ(ch.messages_sent(), 4u);
+    // The serial stream claims a sequence number per attempt, the fleet
+    // keying one per upload.
+    EXPECT_EQ(ch.transmit_seq(), p == nullptr ? 4u : 1u);
+    EXPECT_EQ(rng.next_u64(), Rng(9).next_u64());  // burst plane: no draws
+  }
 }
 
 TEST(ReliableUpload, DeadlineBoundsAttempts) {
@@ -288,14 +312,17 @@ TEST(ReliableUpload, DeadlineBoundsAttempts) {
   cfg.attempt_timeout = 1.0;
   cfg.backoff_base = 0.5;
   cfg.deadline = 3.0;  // 1 + (0.5 + 1) fits; the next retry would not
-  auto row = random_row(16, 2);
-  CommChannel ch;
-  ch.set_bursty(bursty);
-  Rng rng(1);
-  const auto out = ch.transmit_reliable(row.data(), 16, rng, cfg);
-  EXPECT_FALSE(out.delivered);
-  EXPECT_EQ(out.attempts, 2u);
-  EXPECT_EQ(out.backoff, 0.5);
+  ThreadPool pool(1);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto row = random_row(16, 2);
+    CommChannel ch;
+    ch.set_bursty(bursty);
+    Rng rng(1);
+    const auto out = reliable_upload(ch, row.data(), 16, rng, cfg, p);
+    EXPECT_FALSE(out.delivered);
+    EXPECT_EQ(out.attempts, 2u);
+    EXPECT_EQ(out.backoff, 0.5);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,32 @@
 #include "federated/aggregation.hpp"
 #include "federated/channel.hpp"
 #include "federated/server.hpp"
+#include "golden/golden.hpp"
+#include "golden/round_util.hpp"
 
 namespace frlfi {
 namespace {
+
+using golden::smoothing_average;
+using testing::pack_rows;
+using testing::sync_round;
+using testing::unpack_rows;
+
+/// One payload through the channel's serial stream.
+std::vector<float> transmit(CommChannel& ch, std::vector<float> payload,
+                            Rng& rng) {
+  ch.transmit_rows(payload.data(), 1, payload.size(), rng);
+  return payload;
+}
+
+/// A synchronous round over per-agent vectors; returns the downlinks.
+std::vector<std::vector<float>> communicate(
+    ParameterServer& server, const std::vector<std::vector<float>>& uploads,
+    Rng& rng) {
+  std::vector<float> rows = pack_rows(uploads);
+  sync_round(server, rows, rng);
+  return unpack_rows(rows, server.parameter_dim());
+}
 
 TEST(AlphaSchedule, StartsAtAlpha0AndApproachesLimit) {
   AlphaSchedule s(4, 0.6, 50.0);
@@ -84,7 +107,7 @@ TEST(CommChannel, CleanChannelIsLossless) {
   CommChannel ch(0.0);
   Rng rng(1);
   const std::vector<float> payload{0.1f, -0.733f, 2.5f};
-  EXPECT_EQ(ch.transmit(payload, rng), payload);
+  EXPECT_EQ(transmit(ch, payload, rng), payload);
   EXPECT_EQ(ch.messages_sent(), 1u);
   EXPECT_EQ(ch.bits_corrupted(), 0u);
   EXPECT_EQ(ch.bytes_sent(), payload.size() + sizeof(float));
@@ -94,7 +117,7 @@ TEST(CommChannel, NoisyChannelCorrupts) {
   CommChannel ch(0.05);
   Rng rng(2);
   std::vector<float> payload(500, 1.0f);
-  const auto received = ch.transmit(payload, rng);
+  const auto received = transmit(ch, payload, rng);
   EXPECT_GT(ch.bits_corrupted(), 0u);
   std::size_t changed = 0;
   for (std::size_t i = 0; i < payload.size(); ++i)
@@ -106,7 +129,7 @@ TEST(CommChannel, CorruptionRateTracksBer) {
   CommChannel ch(0.01);
   Rng rng(3);
   std::vector<float> payload(2000, 0.5f);
-  ch.transmit(payload, rng);
+  transmit(ch, payload, rng);
   const double expected = 2000 * 8 * 0.01;
   EXPECT_NEAR(static_cast<double>(ch.bits_corrupted()), expected,
               expected * 0.5);
@@ -115,7 +138,7 @@ TEST(CommChannel, CorruptionRateTracksBer) {
 TEST(CommChannel, CountersResetAndBerValidation) {
   CommChannel ch(0.0);
   Rng rng(4);
-  ch.transmit({1.0f}, rng);
+  transmit(ch, {1.0f}, rng);
   ch.reset_counters();
   EXPECT_EQ(ch.messages_sent(), 0u);
   EXPECT_EQ(ch.bytes_sent(), 0u);
@@ -141,7 +164,7 @@ TEST(CommChannel, TransmitRowsMatchesScalarOnEdgeShapes) {
           payloads.push_back(row);
         }
 
-        CommChannel scalar_ch(ber);
+        golden::ScalarChannel scalar_ch(ber);
         Rng scalar_rng(17);
         std::vector<float> expected;
         for (const auto& p : payloads) {
@@ -189,7 +212,7 @@ TEST(ParameterServer, RoundTripAggregates) {
   Rng rng(5);
   const std::vector<std::vector<float>> up{{1.0f, 0.0f}, {2.0f, 0.0f},
                                            {3.0f, 0.0f}};
-  const auto down = server.communicate(up, rng);
+  const auto down = communicate(server, up, rng);
   ASSERT_EQ(down.size(), 3u);
   EXPECT_FLOAT_EQ(down[0][0], 0.5f * 1 + 0.25f * (2 + 3));
   EXPECT_EQ(server.round(), 1u);
@@ -200,12 +223,13 @@ TEST(ParameterServer, RoundTripAggregates) {
 
 TEST(ParameterServer, HookCanMutateAggregates) {
   ParameterServer server(2, 1, AlphaSchedule(2, 0.6));
-  server.set_post_aggregate_hook(
-      [](std::size_t, std::vector<std::vector<float>>& agg) {
-        for (auto& a : agg) a[0] = 42.0f;
+  server.set_post_aggregate_rows_hook(
+      [](std::size_t, std::span<float> agg, std::size_t dim) {
+        for (std::size_t off = 0; off < agg.size(); off += dim)
+          agg[off] = 42.0f;
       });
   Rng rng(6);
-  const auto down = server.communicate({{1.0f}, {2.0f}}, rng);
+  const auto down = communicate(server, {{1.0f}, {2.0f}}, rng);
   EXPECT_FLOAT_EQ(down[0][0], 42.0f);
   EXPECT_FLOAT_EQ(down[1][0], 42.0f);
 }
@@ -213,8 +237,27 @@ TEST(ParameterServer, HookCanMutateAggregates) {
 TEST(ParameterServer, ValidatesUploads) {
   ParameterServer server(2, 2, AlphaSchedule(2, 0.6));
   Rng rng(7);
-  EXPECT_THROW(server.communicate({{1.0f, 2.0f}}, rng), Error);
-  EXPECT_THROW(server.communicate({{1.0f}, {1.0f}}, rng), Error);
+  const std::vector<AgentRoundStatus> status(2, AgentRoundStatus::Present);
+  const ParameterServer::RobustRoundOptions opts;
+  // One upload for two present agents: the sender map misses agent 1.
+  std::vector<float> one{1.0f, 2.0f};
+  const std::vector<std::size_t> agent0{0};
+  EXPECT_THROW(server.communicate_round(one, agent0, status, opts, rng,
+                                        nullptr, true),
+               Error);
+  // Two uploads of the wrong width.
+  std::vector<float> narrow{1.0f, 1.0f};
+  const std::vector<std::size_t> both{0, 1};
+  EXPECT_THROW(server.communicate_round(narrow, both, status, opts, rng,
+                                        nullptr, true),
+               Error);
+  // A status vector that does not cover the roster.
+  std::vector<float> rows{1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<AgentRoundStatus> short_status(1,
+                                                   AgentRoundStatus::Present);
+  EXPECT_THROW(server.communicate_round(rows, both, short_status, opts, rng,
+                                        nullptr, true),
+               Error);
 }
 
 TEST(ParameterServer, SetRoundAffectsSchedule) {
@@ -223,7 +266,7 @@ TEST(ParameterServer, SetRoundAffectsSchedule) {
   Rng rng(8);
   // At round 1000 alpha ~= 0.5 (the consensus limit for n=2): outputs are
   // near the plain mean.
-  const auto down = server.communicate({{0.0f}, {10.0f}}, rng);
+  const auto down = communicate(server, {{0.0f}, {10.0f}}, rng);
   EXPECT_NEAR(down[0][0], 5.0f, 0.1f);
 }
 

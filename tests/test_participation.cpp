@@ -2,10 +2,10 @@
 /// The degraded-participation plane:
 ///  * ParticipationPlan status resolution is deterministic, purely
 ///    functional in (seed, round, agent), and crash windows rejoin;
-///  * ParameterServer::communicate_round is locked bit-identical to
-///    communicate_rows for a full-participation round — through the fast
-///    path AND through the general weighted path (screening armed but
-///    excluding nothing) — RNG stream position and counters included;
+///  * a full-participation ParameterServer::communicate_round is locked
+///    bit-identical to the tests/golden frozen scalar round — plain AND
+///    with screening armed but excluding nothing — RNG stream position
+///    and counters included;
 ///  * partial participation, staleness folding/discard, L2 screening and
 ///    the trimmed mean match hand-computed references;
 ///  * the engine with an active all-present plan is bit-identical to the
@@ -29,21 +29,21 @@
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "golden/golden.hpp"
+#include "golden/round_util.hpp"
 
 namespace frlfi {
 namespace {
+
+using golden::ScalarChannel;
+using testing::pack_rows;
+using testing::round_over_matrix;
 
 std::vector<float> random_row(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   return v;
-}
-
-std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
-  std::vector<float> rows;
-  for (const auto& v : vov) rows.insert(rows.end(), v.begin(), v.end());
-  return rows;
 }
 
 TEST(ParticipationPlan, ValidatesParameters) {
@@ -199,8 +199,8 @@ TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
   std::vector<const float*> ptrs;
   for (const auto& r : rows) ptrs.push_back(r.data());
   std::vector<float> scratch(rows.size()), out(2);
-  trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
-                    out.data());
+  trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(), 1,
+                    out.data(), nullptr);
   EXPECT_FLOAT_EQ(out[0], 3.0f);                       // mean(2,3,4)
   EXPECT_FLOAT_EQ(out[1], 1.0f);                       // mean(0,1,2)
   // A NaN row ranks above every finite value: trimmed with the top tail.
@@ -209,28 +209,30 @@ TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
   ptrs.clear();
   for (const auto& r : with_nan) ptrs.push_back(r.data());
   scratch.resize(4);
-  trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data());
+  trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), 1, out.data(),
+                    nullptr);
   EXPECT_FLOAT_EQ(out[0], 2.5f);  // mean(2,3); NaN and 1 trimmed
   EXPECT_THROW(
-      trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(), out.data()),
+      trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(), 1, out.data(),
+                        nullptr),
       Error);
 }
 
-/// Runs one all-present communicate_round and one communicate_rows over
-/// identical inputs and expects bit-identical everything.
-void expect_full_round_matches_rows(const ScreeningConfig& screening,
-                                    double ber) {
+/// Runs one all-present communicate_round and the frozen scalar round
+/// over identical inputs and expects bit-identical everything.
+void expect_full_round_matches_frozen(const ScreeningConfig& screening,
+                                      double ber) {
   const std::size_t n = 4, dim = 37;
   std::vector<std::vector<float>> uploads;
   for (std::size_t i = 0; i < n; ++i)
     uploads.push_back(random_row(dim, 3100 + i));
   const AlphaSchedule schedule(n, 0.6, 20.0);
 
-  ParameterServer ref(n, dim, schedule);
-  ref.channel().set_bit_error_rate(ber);
+  ScalarChannel ref_channel(ber);
   Rng ref_rng(11);
-  std::vector<float> ref_rows = pack_rows(uploads);
-  ref.communicate_rows(ref_rows, ref_rng);
+  std::vector<float> ref_consensus;
+  const std::vector<float> ref_rows = pack_rows(golden::frozen_scalar_round(
+      uploads, ref_channel, schedule.at(0), ref_rng, &ref_consensus));
 
   ParameterServer srv(n, dim, schedule);
   srv.channel().set_bit_error_rate(ber);
@@ -240,34 +242,34 @@ void expect_full_round_matches_rows(const ScreeningConfig& screening,
   ParameterServer::RobustRoundOptions opts;
   opts.screening = screening;
   const RoundParticipationReport rep =
-      srv.communicate_round(rows, status, opts, rng);
+      round_over_matrix(srv, rows, status, opts, rng);
 
   EXPECT_EQ(rows, ref_rows);
-  EXPECT_EQ(srv.consensus(), ref.consensus());
-  EXPECT_EQ(srv.round(), ref.round());
-  EXPECT_EQ(srv.channel().bytes_sent(), ref.channel().bytes_sent());
-  EXPECT_EQ(srv.channel().messages_sent(), ref.channel().messages_sent());
-  EXPECT_EQ(srv.channel().bits_corrupted(), ref.channel().bits_corrupted());
+  EXPECT_EQ(srv.consensus(), ref_consensus);
+  EXPECT_EQ(srv.round(), 1u);
+  EXPECT_EQ(srv.channel().bytes_sent(), ref_channel.bytes_sent());
+  EXPECT_EQ(srv.channel().messages_sent(), ref_channel.messages_sent());
+  EXPECT_EQ(srv.channel().bits_corrupted(), ref_channel.bits_corrupted());
   EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());  // stream position
   EXPECT_EQ(rep.present, n);
   EXPECT_EQ(rep.contributors, n);
   EXPECT_TRUE(rep.aggregated);
 }
 
-TEST(CommunicateRound, FullParticipationFastPathMatchesCommunicateRows) {
-  expect_full_round_matches_rows(ScreeningConfig{}, 0.0);
-  expect_full_round_matches_rows(ScreeningConfig{}, 0.01);
+TEST(CommunicateRound, FullParticipationMatchesFrozenScalarRound) {
+  expect_full_round_matches_frozen(ScreeningConfig{}, 0.0);
+  expect_full_round_matches_frozen(ScreeningConfig{}, 0.01);
 }
 
-TEST(CommunicateRound, FullParticipationGeneralPathMatchesCommunicateRows) {
-  // Arming the L2 screen with a factor excluding nothing forces the
-  // general weighted path — the partial-averaging arithmetic itself must
-  // reproduce the synchronous kernel bit-for-bit when every weight is 1.
+TEST(CommunicateRound, FullParticipationScreenedMatchesFrozenScalarRound) {
+  // Arming the L2 screen with a factor excluding nothing runs the screen
+  // — the partial-averaging arithmetic itself must reproduce the
+  // synchronous smoothing average bit-for-bit when every weight is 1.
   ScreeningConfig screening;
   screening.l2_norm = true;
   screening.l2_factor = 1e9;
-  expect_full_round_matches_rows(screening, 0.0);
-  expect_full_round_matches_rows(screening, 0.01);
+  expect_full_round_matches_frozen(screening, 0.0);
+  expect_full_round_matches_frozen(screening, 0.01);
 }
 
 /// Test-side replica of the degraded combine (same float expressions in
@@ -308,8 +310,8 @@ TEST(CommunicateRound, PartialParticipationMatchesHandComputedAverage) {
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[1] = AgentRoundStatus::Dropped;
   const std::vector<float> before = rows;
-  const RoundParticipationReport rep = srv.communicate_round(
-      rows, status, ParameterServer::RobustRoundOptions{}, rng);
+  const RoundParticipationReport rep = round_over_matrix(
+      srv, rows, status, ParameterServer::RobustRoundOptions{}, rng);
 
   EXPECT_EQ(rep.present, 3u);
   EXPECT_EQ(rep.dropped, 1u);
@@ -320,7 +322,7 @@ TEST(CommunicateRound, PartialParticipationMatchesHandComputedAverage) {
 
   // Reference: quantize the present uploads (clean transmit), combine,
   // quantize the downlink.
-  CommChannel ch(0.0);
+  ScalarChannel ch(0.0);
   Rng ref_rng(13);
   std::vector<std::vector<float>> sent(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -358,7 +360,8 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   std::vector<float> rows = pack_rows(uploads);
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[2] = AgentRoundStatus::Straggler;
-  RoundParticipationReport rep0 = srv.communicate_round(rows, status, opts, rng);
+  RoundParticipationReport rep0 =
+      round_over_matrix(srv, rows, status, opts, rng);
   EXPECT_EQ(rep0.stragglers, 1u);
   EXPECT_EQ(rep0.stale_folded, 0u);
   EXPECT_EQ(rep0.contributors, 2u);
@@ -377,7 +380,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   const std::vector<AgentRoundStatus> all_present(n,
                                                   AgentRoundStatus::Present);
   RoundParticipationReport rep1 =
-      srv.communicate_round(rows1, all_present, opts, rng);
+      round_over_matrix(srv, rows1, all_present, opts, rng);
   EXPECT_EQ(rep1.stale_folded, 1u);
   EXPECT_EQ(rep1.contributors, 4u);  // 3 on-time + 1 stale
   EXPECT_TRUE(srv.pending_uploads().empty());
@@ -389,7 +392,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   fresh.set_round(1);
   Rng fresh_rng(1234);
   std::vector<float> rows1b = pack_rows(uploads1);
-  fresh.communicate_round(rows1b, all_present, opts, fresh_rng);
+  round_over_matrix(fresh, rows1b, all_present, opts, fresh_rng);
   EXPECT_NE(rows1, rows1b);
 
   // And a mirror server restored from the captured pending state replays
@@ -404,7 +407,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   mirror.set_pending_uploads({carried});
   Rng mirror_rng(4321);
   std::vector<float> rows1c = pack_rows(uploads1);
-  mirror.communicate_round(rows1c, all_present, opts, mirror_rng);
+  round_over_matrix(mirror, rows1c, all_present, opts, mirror_rng);
   EXPECT_EQ(rows1c, rows1);
   EXPECT_TRUE(mirror.pending_uploads().empty());
 
@@ -415,7 +418,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   Rng rng2(19);
   std::vector<float> rows2 = pack_rows(uploads);
   RoundParticipationReport rep2 =
-      srv2.communicate_round(rows2, status, opts, rng2);
+      round_over_matrix(srv2, rows2, status, opts, rng2);
   EXPECT_EQ(rep2.stale_discarded, 1u);
   EXPECT_TRUE(srv2.pending_uploads().empty());
 }
@@ -437,14 +440,14 @@ TEST(CommunicateRound, L2ScreenExcludesNormOutlier) {
   opts.screening.l2_norm = true;
   opts.screening.l2_factor = 3.0;
   const RoundParticipationReport rep =
-      srv.communicate_round(rows, status, opts, rng);
+      round_over_matrix(srv, rows, status, opts, rng);
   EXPECT_EQ(rep.byzantine, 1u);
   EXPECT_EQ(rep.screened_out, 1u);
   EXPECT_EQ(rep.contributors, 3u);
 
   // The screened agent still receives a downlink, blended from honest
   // rows only (its own row is out of the total, weight 0).
-  CommChannel ch(0.0);
+  ScalarChannel ch(0.0);
   Rng ref_rng(23);
   std::vector<std::vector<float>> sent(n);
   for (std::size_t i = 0; i < n; ++i) sent[i] = ch.transmit(uploads[i], ref_rng);
@@ -477,9 +480,9 @@ TEST(CommunicateRound, TrimmedMeanReplacesPeerAverage) {
   ParameterServer::RobustRoundOptions opts;
   opts.screening.trimmed_mean = true;
   opts.screening.trim_k = 1;
-  srv.communicate_round(rows, status, opts, rng);
+  round_over_matrix(srv, rows, status, opts, rng);
 
-  CommChannel ch(0.0);
+  ScalarChannel ch(0.0);
   Rng ref_rng(29);
   std::vector<std::vector<float>> sent(n);
   for (std::size_t i = 0; i < n; ++i) sent[i] = ch.transmit(uploads[i], ref_rng);

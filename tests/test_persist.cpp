@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <sstream>
 
 #include "core/error.hpp"
@@ -32,6 +34,47 @@ TEST(Persist, RejectsTruncatedStream) {
   persist::write_u64(ss, 100);  // claims 100 floats, provides none
   persist::read_header(ss);
   EXPECT_THROW(persist::read_floats(ss), Error);
+}
+
+TEST(Persist, LongVectorsRoundTripAcrossReadChunks) {
+  // Lengths straddling the reader's chunk size.
+  for (const std::size_t n : {std::size_t{65535}, std::size_t{65536},
+                              std::size_t{65537}, std::size_t{200003}}) {
+    std::vector<float> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<float>(i) * 0.5f;
+    std::stringstream ss;
+    persist::write_floats(ss, v);
+    EXPECT_EQ(persist::read_floats(ss), v) << n;
+  }
+}
+
+std::size_t peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::size_t>(ru.ru_maxrss);
+}
+
+TEST(Persist, HugePendingUploadLengthThrowsWithoutAllocatingIt) {
+  // A v3 training-state stream whose one pending upload claims 2^31
+  // floats (8 GiB) but carries 8 bytes. The reader must fail on the
+  // missing bytes, with memory following the bytes actually present.
+  std::stringstream ss;
+  persist::write_header(ss, 3);
+  persist::write_u64(ss, 12);  // episode
+  persist::write_u64(ss, 3);   // round
+  persist::write_u64(ss, 0);   // server fault pending
+  persist::write_u64(ss, 40);  // channel seq
+  persist::write_u64(ss, 1);   // one pending upload
+  persist::write_u64(ss, 0);   // agent
+  persist::write_u64(ss, 4);   // deliver round
+  persist::write_floats(ss, {0.5f});       // weight
+  persist::write_u64(ss, 1ull << 31);      // pending-upload length
+  persist::write_u64(ss, 0x3F8000003F800000ULL);  // 8 bytes of payload
+  const std::uint32_t version = persist::read_header(ss);
+  const std::size_t rss_before = peak_rss_kib();
+  EXPECT_THROW(persist::read_training_state(ss, 4, version), Error);
+  EXPECT_LT(peak_rss_kib() - rss_before, std::size_t{64} * 1024)
+      << "peak RSS grew by more than 64 MiB";
 }
 
 TEST(Persist, GridWorldSaveLoadRoundTrip) {

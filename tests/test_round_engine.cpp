@@ -5,12 +5,13 @@
 ///    over an n_agents x threads grid;
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
-///  * the batched server-round kernels (smoothing_average_rows,
-///    mean_parameters_rows, CommChannel::transmit_rows,
-///    ParameterServer::communicate_rows) are bit-identical to their
-///    scalar references, RNG stream position included;
+///  * CommChannel::transmit_rows and the synchronous server round are
+///    bit-identical to the tests/golden scalar references (scalar
+///    transmit, frozen_scalar_round), RNG stream position included;
 ///  * the engine's row-matrix server-fault hook reproduces the historical
-///    per-agent-vector hook.
+///    per-agent-vector hook inside the frozen round;
+///  * fleet rounds are server-lane-count invariant, match the serial
+///    round on the burst plane, and keep round buffers O(participants).
 
 #include "federated/round_engine.hpp"
 
@@ -27,9 +28,15 @@
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "golden/golden.hpp"
+#include "golden/round_util.hpp"
 
 namespace frlfi {
 namespace {
+
+using golden::frozen_scalar_round;
+using testing::pack_rows;
+using testing::sync_round;
 
 std::vector<float> random_row(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -45,46 +52,12 @@ std::vector<std::vector<float>> random_uploads(std::size_t n, std::size_t dim,
   return up;
 }
 
-std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
-  std::vector<float> rows;
-  for (const auto& v : vov) rows.insert(rows.end(), v.begin(), v.end());
-  return rows;
-}
-
-TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
-  for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{12}}) {
-    // Dims straddling SIMD widths, including a non-multiple-of-8 tail.
-    for (const std::size_t dim : {std::size_t{1}, std::size_t{37},
-                                  std::size_t{256}}) {
-      const auto uploads = random_uploads(n, dim, 100 + n + dim);
-      const auto rows = pack_rows(uploads);
-      for (const double alpha : {0.3, 0.5, 1.0 / static_cast<double>(n)}) {
-        const auto scalar = smoothing_average(uploads, alpha);
-        std::vector<float> out(n * dim), total(dim);
-        smoothing_average_rows(rows.data(), out.data(), total.data(), n, dim,
-                               alpha);
-        EXPECT_EQ(out, pack_rows(scalar)) << n << "x" << dim << " a=" << alpha;
-      }
-    }
-  }
-}
-
-TEST(BatchedAggregation, MeanRowsMatchesScalarReference) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
-    const std::size_t dim = 123;
-    const auto uploads = random_uploads(n, dim, 500 + n);
-    const auto rows = pack_rows(uploads);
-    std::vector<float> mean(dim);
-    mean_parameters_rows(rows.data(), n, dim, mean.data());
-    EXPECT_EQ(mean, mean_parameters(uploads)) << n;
-  }
-}
-
 TEST(BatchedChannel, TransmitRowsMatchesScalarTransmit) {
   for (const double ber : {0.0, 1e-3, 0.05, 0.3}) {
     const std::size_t n = 4, dim = 97;
     const auto uploads = random_uploads(n, dim, 900);
-    CommChannel scalar_ch(ber), rows_ch(ber);
+    golden::ScalarChannel scalar_ch(ber);
+    CommChannel rows_ch(ber);
     Rng scalar_rng(7), rows_rng(7);
     std::vector<std::vector<float>> scalar_out;
     for (const auto& p : uploads)
@@ -100,35 +73,11 @@ TEST(BatchedChannel, TransmitRowsMatchesScalarTransmit) {
   }
 }
 
-/// Frozen pre-refactor ParameterServer::communicate: the scalar
-/// primitives (CommChannel::transmit, smoothing_average, mean_parameters,
-/// hook, downlink transmits) composed exactly as the retired
-/// implementation. ParameterServer::communicate is a wrapper over
-/// communicate_rows now, so a round-level equivalence check must rebuild
-/// the reference from these still-independently-pinned pieces — comparing
-/// the wrapper against communicate_rows would be a tautology.
-std::vector<std::vector<float>> frozen_scalar_round(
-    const std::vector<std::vector<float>>& uploads, CommChannel& channel,
-    double alpha, Rng& rng, std::vector<float>* consensus_out,
-    const std::function<void(std::vector<std::vector<float>>&)>& hook =
-        nullptr) {
-  std::vector<std::vector<float>> up;
-  up.reserve(uploads.size());
-  for (const auto& p : uploads) up.push_back(channel.transmit(p, rng));
-  std::vector<std::vector<float>> agg = smoothing_average(up, alpha);
-  if (consensus_out != nullptr) *consensus_out = mean_parameters(agg);
-  if (hook) hook(agg);
-  std::vector<std::vector<float>> down;
-  down.reserve(agg.size());
-  for (const auto& p : agg) down.push_back(channel.transmit(p, rng));
-  return down;
-}
-
-TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
+TEST(BatchedServerRound, SynchronousRoundMatchesFrozenScalarRound) {
   const std::size_t n = 3, dim = 64;
   const auto uploads = random_uploads(n, dim, 1300);
   const AlphaSchedule schedule(n, 0.6, 20.0);
-  CommChannel ref_channel(0.01);
+  golden::ScalarChannel ref_channel(0.01);
   ParameterServer rows_server(n, dim, schedule);
   rows_server.channel().set_bit_error_rate(0.01);
   Rng ref_rng(5), rows_rng(5);
@@ -137,33 +86,30 @@ TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
                                         schedule.at(0), ref_rng,
                                         &ref_consensus);
   std::vector<float> rows = pack_rows(uploads);
-  rows_server.communicate_rows(rows, rows_rng);
+  sync_round(rows_server, rows, rows_rng);
   EXPECT_EQ(rows, pack_rows(down));
   EXPECT_EQ(rows_server.consensus(), ref_consensus);
   EXPECT_EQ(rows_server.round(), 1u);
   EXPECT_EQ(rows_server.channel().bytes_sent(), ref_channel.bytes_sent());
+  EXPECT_EQ(rows_server.channel().messages_sent(),
+            ref_channel.messages_sent());
+  EXPECT_EQ(rows_server.channel().transmit_seq(), ref_channel.transmit_seq());
   EXPECT_EQ(rows_server.channel().bits_corrupted(),
             ref_channel.bits_corrupted());
   EXPECT_EQ(rows_rng.next_u64(), ref_rng.next_u64());
-  // And the compatibility wrapper funnels through the same path.
-  ParameterServer wrapper_server(n, dim, schedule);
-  wrapper_server.channel().set_bit_error_rate(0.01);
-  Rng wrapper_rng(5);
-  EXPECT_EQ(wrapper_server.communicate(uploads, wrapper_rng), down);
 }
 
 TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
   // The engine's server-fault injection (span-based inject_int8 over the
   // aggregate rows, one RNG stream across all rows) must reproduce the
   // historical vector-of-vectors hook inside the frozen scalar round
-  // bit-for-bit — and so must the legacy-hook adapter in
-  // communicate_rows.
+  // bit-for-bit.
   const std::size_t n = 4, dim = 80;
   const auto uploads = random_uploads(n, dim, 1700);
   FaultSpec spec;
   spec.ber = 0.05;
   const AlphaSchedule schedule(n, 0.5);
-  CommChannel ref_channel(0.0);
+  golden::ScalarChannel ref_channel(0.0);
   Rng ref_rng(9);
   const auto down = frozen_scalar_round(
       uploads, ref_channel, schedule.at(0), ref_rng, nullptr,
@@ -181,18 +127,8 @@ TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
       });
   Rng rows_rng(9);
   std::vector<float> rows = pack_rows(uploads);
-  rows_srv.communicate_rows(rows, rows_rng);
+  sync_round(rows_srv, rows, rows_rng);
   EXPECT_EQ(rows, pack_rows(down));
-
-  // Legacy vector-of-vectors hook through the adapter: same bits.
-  ParameterServer legacy_srv(n, dim, schedule);
-  legacy_srv.set_post_aggregate_hook(
-      [&](std::size_t, std::vector<std::vector<float>>& agg) {
-        Rng fault_rng(4242);
-        for (auto& params : agg) inject_int8(params, spec, fault_rng);
-      });
-  Rng legacy_rng(9);
-  EXPECT_EQ(legacy_srv.communicate(uploads, legacy_rng), down);
 }
 
 /// Small-but-busy gridworld configuration: noisy channel so the comm
@@ -466,13 +402,13 @@ TEST(FleetRound, DegradedRoundIsServerLaneCountInvariant) {
   }
 }
 
-TEST(FleetRound, CompactDegradedRoundMatchesLegacyFullMatrixBits) {
-  // Participant-compaction equivalence: on the burst plane with the retry
+TEST(FleetRound, SerialDegradedRoundMatchesFleetOnBurstPlane) {
+  // Channel-keying equivalence: on the burst plane with the retry
   // protocol unarmed, every message is keyed by the same per-sender
-  // sequence numbers on both paths, so the O(participants) compact round
-  // (server_threads = 1) must be *identical* to the legacy full-matrix
-  // round (server_threads = 0) — parameters, channel counters, stats and
-  // the staleness buffer included.
+  // sequence numbers under both disciplines, so the fleet round
+  // (server_threads = 1) must be *identical* to the serial round
+  // (server_threads = 0) — parameters, channel counters, stats and the
+  // staleness buffer included.
   const std::size_t agents = 64, dim = 48;
   FleetHarness legacy_h(agents, dim);
   FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 7, 0xF1EE7,
@@ -502,9 +438,9 @@ TEST(FleetRound, CompactDegradedRoundMatchesLegacyFullMatrixBits) {
 }
 
 TEST(FleetRound, PlanFreeFleetRoundMatchesLegacyOnBurstPlane) {
-  // Without a participation plan the fleet path runs the synchronous
-  // communicate_rows fan; burst-plane bits are per-sequence derived on
-  // both paths, so every lane count must match the legacy serial round.
+  // Without a participation plan the round is all-Present; burst-plane
+  // bits are per-sequence derived under both channel disciplines, so
+  // every lane count must match the serial round.
   const std::size_t agents = 32, dim = 40;
   FleetHarness legacy_h(agents, dim);
   FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 19, 0xF1EE7,
@@ -548,28 +484,24 @@ TEST(FleetRound, ZeroRetryUploadProtocolKeepsFleetRoundBits) {
 
 TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
   // The O(participants) acceptance gate: at cadence 8 (~12.5%
-  // participation) the fleet engine's retained round buffers must stay
-  // under a quarter of the full n x dim matrix, while the legacy path
-  // retains the full matrix by construction.
+  // participation) the engine's retained round buffers must stay under a
+  // quarter of the full n x dim matrix at every server_threads setting —
+  // serial and fleet rounds share the participant-compacted storage.
   const std::size_t agents = 1024, dim = 64;
   const std::size_t full_bytes = agents * dim * sizeof(float);
   ParticipationPlan plan = fleet_plan();
   plan.cadence = 8;
 
-  FleetHarness fleet_h(agents, dim);
-  FederatedRoundEngine fleet(fleet_config(agents, dim, 1), 41, 0xF1EE7,
-                             fleet_h.hooks());
-  fleet.set_participation_plan(plan);
-  fleet.train(6);
-  EXPECT_LT(fleet.round_buffer_bytes(), full_bytes / 4)
-      << "compact round buffers must scale with participants";
-
-  FleetHarness legacy_h(agents, dim);
-  FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 41, 0xF1EE7,
-                              legacy_h.hooks());
-  legacy.set_participation_plan(plan);
-  legacy.train(6);
-  EXPECT_GE(legacy.round_buffer_bytes(), full_bytes);
+  for (const std::size_t server_threads : {std::size_t{0}, std::size_t{1}}) {
+    FleetHarness h(agents, dim);
+    FederatedRoundEngine sys(fleet_config(agents, dim, server_threads), 41,
+                             0xF1EE7, h.hooks());
+    sys.set_participation_plan(plan);
+    sys.train(6);
+    EXPECT_LT(sys.round_buffer_bytes(), full_bytes / 4)
+        << "round buffers must scale with participants (server_threads "
+        << server_threads << ")";
+  }
 }
 
 }  // namespace
