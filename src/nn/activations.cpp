@@ -40,15 +40,8 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor ReLU::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  Tensor out = input;
-  relu_inplace(out.data().data(), out.size());
-  return out;
-}
-
-Tensor ReLU::forward_batch_inner(Tensor input, std::size_t batch) {
+Tensor ReLU::forward_batch_inner(Tensor input, std::size_t batch,
+                                 WeightSource /*w*/) const {
   FRLFI_CHECK(batch >= 1 && input.size() % batch == 0);
   relu_inplace(input.data().data(), input.size());
   return input;
@@ -80,13 +73,8 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor Tanh::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  return forward_batch_inner(input, batch);
-}
-
-Tensor Tanh::forward_batch_inner(Tensor input, std::size_t batch) {
+Tensor Tanh::forward_batch_inner(Tensor input, std::size_t batch,
+                                 WeightSource /*w*/) const {
   FRLFI_CHECK(batch >= 1 && input.size() % batch == 0);
   for (auto& v : input.data()) v = std::tanh(v);
   return input;

@@ -15,12 +15,10 @@ class ReLU final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Elementwise over the whole batch in one pass; bit-identical to the
-  /// per-sample path, no backward cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Same, in place on the moved-in batch-inner buffer (layout-agnostic).
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
+  /// Elementwise, in place on the moved-in buffer (layout-agnostic);
+  /// bit-identical to forward(). Ignores the weight source.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
@@ -38,12 +36,10 @@ class Tanh final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Elementwise over the whole batch in one pass; bit-identical to the
-  /// per-sample path, no backward cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Same, in place on the moved-in batch-inner buffer (layout-agnostic).
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
+  /// Elementwise, in place on the moved-in buffer (layout-agnostic);
+  /// bit-identical to forward(). Ignores the weight source.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;

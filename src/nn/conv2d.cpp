@@ -189,106 +189,8 @@ Tensor Conv2D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2D::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == batch &&
-                      input.dim(1) == in_c_,
-                  label_ << ": bad batched input " << input.shape_string()
-                         << " for batch " << batch);
-  return batch_to_major(forward_batch_inner(batch_to_inner(input, batch), batch),
-                        batch);
-}
-
-Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
-                                const float* wt, const float* bias) const {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == in_c_ &&
-                      input.dim(3) == batch,
-                  label_ << ": bad batch-inner input " << input.shape_string()
-                         << " for batch " << batch);
-  const ConvShape s{in_c_, input.dim(1), input.dim(2), k_, stride_, pad_};
-  out_extent(s.h);  // validates extent >= kernel with the layer's message
-  out_extent(s.w);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  Tensor out({out_c_, oh, ow, batch});
-  // Below the SIMD-worthwhile width the direct kernel's B-wide saxpy
-  // degenerates: gather each sample out of the batch-inner layout and run
-  // the per-sample im2col+GEMM kernels instead — the exact forward()
-  // compute (bit-identical to it at every geometry), minus its caching.
-  if (batch < kBatchInnerWideKernelMin) {
-    thread_local std::vector<float> xs, cols, ys;
-    const std::size_t sample = in_c_ * s.h * s.w;
-    const std::size_t ncols = oh * ow;
-    xs.resize(sample);
-    cols.resize(s.rows() * ncols);
-    ys.resize(out_c_ * ncols);
-    const float* x = input.data().data();
-    float* y = out.data().data();
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t f = 0; f < sample; ++f) xs[f] = x[f * batch + b];
-      im2col(xs.data(), s, cols.data());
-      gemm_bias_rows(wt, cols.data(), bias, ys.data(), out_c_, s.rows(),
-                     ncols);
-      for (std::size_t f = 0; f < out_c_ * ncols; ++f)
-        y[f * batch + b] = ys[f];
-    }
-    return out;
-  }
-  conv_batch_inner(input.data().data(), wt, bias, s, out_c_, batch,
-                   out.data().data());
-  return out;
-}
-
-Tensor Conv2D::forward_batch_inner(Tensor input, std::size_t batch) {
-  return batch_inner_with(std::move(input), batch, weight_.value.data().data(),
-                          bias_.value.data().data());
-}
-
-Tensor Conv2D::forward_view(const Tensor& input, const WeightView& view,
-                            std::size_t param_offset) {
-  FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
-                  label_ << ": bad input shape " << input.shape_string());
-  const ConvShape s = shape_for(input);
-  out_extent(s.h);
-  out_extent(s.w);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  const std::size_t rows = s.rows(), ncols = s.cols();
-  // Per-thread scratch (not the member workspaces): view forwards must
-  // leave the training-path caches alone and stay reentrant.
-  thread_local std::vector<float> cols, wbuf, bbuf;
-  cols.resize(rows * ncols);
-  im2col(input.data().data(), s, cols.data());
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  Tensor out({out_c_, oh, ow});
-  gemm_bias_rows(wb.weight, cols.data(), wb.bias, out.data().data(), out_c_,
-                 rows, ncols);
-  return out;
-}
-
-Tensor Conv2D::forward_batch_inner_view(Tensor input, std::size_t batch,
-                                        const WeightView& view,
-                                        std::size_t param_offset) {
-  thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
-}
-
-Tensor Conv2D::forward_quant(const Tensor& input, const QuantWeightView& qview,
-                             std::size_t param_offset) {
-  // Width-1 batch-inner routing, as Dense::forward_quant: one quant code
-  // path for every width, bit-aligned by the integer kernels.
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_quant(input.reshaped(in_shape), 1, qview,
-                                       param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Conv2D::forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                         const QuantWeightView& qview,
-                                         std::size_t param_offset) {
+Tensor Conv2D::forward_batch_inner(Tensor input, std::size_t batch,
+                                   WeightSource w) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == in_c_ &&
                       input.dim(3) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string()
@@ -299,17 +201,51 @@ Tensor Conv2D::forward_batch_inner_quant(Tensor input, std::size_t batch,
   const std::size_t oh = s.out_h(), ow = s.out_w();
   const std::size_t taps = s.rows(), ncols = oh * ow;
   const std::size_t sample = in_c_ * s.h * s.w;
+  const float* x = input.data().data();
+  if (w.qview == nullptr) {
+    const float* wt = weight_.value.data().data();
+    const float* bias = bias_.value.data().data();
+    if (w.view != nullptr) {
+      thread_local std::vector<float> wbuf, bbuf;
+      const auto wb = w.view->weight_bias(w.offset, weight_.value.size(),
+                                          bias_.value.size(), wbuf, bbuf);
+      wt = wb.weight;
+      bias = wb.bias;
+    }
+    Tensor out({out_c_, oh, ow, batch});
+    if (batch >= kBatchInnerWideKernelMin) {
+      conv_batch_inner(x, wt, bias, s, out_c_, batch, out.data().data());
+      return out;
+    }
+    // Below the SIMD-worthwhile width the direct kernel's B-wide saxpy
+    // degenerates: gather each sample out of the batch-inner layout and
+    // run the per-sample im2col+GEMM kernels instead — the exact forward()
+    // compute (bit-identical to it at every geometry), minus its caching.
+    thread_local std::vector<float> xs, cols, ys;
+    xs.resize(sample);
+    cols.resize(taps * ncols);
+    ys.resize(out_c_ * ncols);
+    float* y = out.data().data();
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t f = 0; f < sample; ++f) xs[f] = x[f * batch + b];
+      im2col(xs.data(), s, cols.data());
+      gemm_bias_rows(wt, cols.data(), bias, ys.data(), out_c_, taps, ncols);
+      for (std::size_t f = 0; f < out_c_ * ncols; ++f)
+        y[f * batch + b] = ys[f];
+    }
+    return out;
+  }
+  const QuantWeightView& qview = *w.qview;
   thread_local std::vector<std::int8_t> wqbuf, bqbuf, xq, cols_q;
   thread_local std::vector<float> sx, bias_f;
   thread_local std::vector<std::int32_t> acc;
-  const std::int8_t* wq = qview.span(param_offset, out_c_ * taps, wqbuf);
-  const std::int8_t* bq = qview.span(param_offset + out_c_ * taps, out_c_,
-                                     bqbuf);
+  const std::int8_t* wq = qview.span(w.offset, out_c_ * taps, wqbuf);
+  const std::int8_t* bq =
+      qview.span(w.offset + out_c_ * taps, out_c_, bqbuf);
   bias_f.resize(out_c_);
   for (std::size_t oc = 0; oc < out_c_; ++oc)
     bias_f[oc] = static_cast<float>(bq[oc]) * qview.scale;
   sx.resize(batch);
-  const float* x = input.data().data();
   activation_scales_inner(x, sample, batch, sx.data());
   // One pipeline for every batch size: requantize the whole batch-inner
   // block, widen each pixel to `batch` words with im2col_s8_inner, and run

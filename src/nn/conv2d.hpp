@@ -34,54 +34,28 @@ class Conv2D final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Batched forward over (B, in_c, H, W): delegates to
-  /// forward_batch_inner between two batch transposes. Matches per-sample
-  /// forward() bit-for-bit whenever a sample has >= 8 output positions
-  /// (both paths then accumulate the same reference-ordered chain); tiny
-  /// outputs at batch >= 8 differ in the last ulps because only the
-  /// single-sample path reassociates through the packed narrow kernel.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Batch-innermost forward over (in_c, H, W, B): direct blocked
-  /// convolution — every tap a unit-stride saxpy across the batch, output
-  /// written straight into (out_c, OH, OW, B). No im2col, no patch matrix,
-  /// no reorder pass: the per-sample path's scalar patch gather (its
-  /// dominant cost at policy shapes) disappears entirely. Same equivalence
-  /// contract as forward_batch.
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
-
-  /// Fault-overlay plane: forward()'s exact im2col+GEMM chain with the
-  /// weight/bias read through `view` (zero-copy when the overlay misses
-  /// this layer's span), on per-thread scratch and without touching the
-  /// backward caches — bit-identical to mutate-forward-restore.
-  Tensor forward_view(const Tensor& input, const WeightView& view,
-                      std::size_t param_offset) override;
-
-  /// View-directed batch-inner forward; same equivalence contract as
-  /// forward_batch_inner, reentrant across concurrent views.
-  Tensor forward_batch_inner_view(Tensor input, std::size_t batch,
-                                  const WeightView& view,
-                                  std::size_t param_offset) override;
-
-  /// Int8-native forward: the input sample is requantized with one
-  /// symmetric scale, lowered through im2col_s8, and multiplied against
-  /// the deployed int8 weight words in int32 (tensor/gemm_s8.hpp); the
-  /// accumulator dequantizes through the scale product with the float
-  /// bias added last. Bit-identical to forward_batch_inner_quant of the
-  /// same sample at any width — padding words are exact zeros and integer
-  /// accumulation is order-free, so the im2col and direct-kernel forms
-  /// produce the same accumulators.
-  Tensor forward_quant(const Tensor& input, const QuantWeightView& qview,
-                       std::size_t param_offset) override;
-
-  /// Batch-inner int8-native forward with per-sample activation scales:
-  /// wide batches run a direct int8 batch-inner convolution (the integer
-  /// port of the float direct kernel), narrow ones gather per sample
-  /// through im2col_s8 — both exact, see forward_quant. Reentrant,
-  /// cache-free.
-  Tensor forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                   const QuantWeightView& qview,
-                                   std::size_t param_offset) override;
+  /// Batch-inner forward over (in_c, H, W, B), cache-free and reentrant.
+  ///
+  /// Float planes (own tensors, or weight/bias read through the view,
+  /// zero-copy when the overlay misses this layer): wide batches run a
+  /// direct blocked convolution. Every tap is a unit-stride saxpy across
+  /// the batch, written straight into (out_c, OH, OW, B), with no im2col
+  /// and no patch matrix. Narrow batches gather each sample and run
+  /// forward()'s own im2col+GEMM chain, so they match forward() bit for
+  /// bit at every geometry. Wide batches match it bit for bit whenever a
+  /// sample has >= 8 output positions (both paths then accumulate the
+  /// same reference-ordered chain). Tiny outputs differ in the last ulps,
+  /// because only the single-sample path reassociates through the packed
+  /// narrow kernel.
+  ///
+  /// Int8 plane: each sample is requantized with its own symmetric scale,
+  /// lowered through im2col_s8_inner, and multiplied against the deployed
+  /// int8 weight words in int32 (tensor/gemm_s8.hpp). The accumulator
+  /// dequantizes through the scale product with the float bias added
+  /// last. Padding words are exact zeros and integer accumulation is
+  /// order-free, so every width gives the same bits.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
@@ -108,11 +82,6 @@ class Conv2D final : public Layer {
   ConvShape shape_for(const Tensor& input) const;
   void check_grad_shape(const Tensor& grad_output, std::size_t oh,
                         std::size_t ow) const;
-  // forward_batch_inner's compute with an explicit weight source (the
-  // layer's own tensors or a resolved view span).
-  Tensor batch_inner_with(Tensor input, std::size_t batch, const float* wt,
-                          const float* bias) const;
-
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Parameter weight_;  // (out_c, in_c, k, k)
   Parameter bias_;    // (out_c)

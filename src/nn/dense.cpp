@@ -32,98 +32,48 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dense::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch &&
-                      input.size() == batch * in_,
-                  label_ << ": bad batched input " << input.shape_string()
-                         << " for batch " << batch);
-  // Yᵀ = bias ⊕ W·Xᵀ in the transposed layout: one fat GEMM whose
-  // per-element chain matches gemv_bias exactly. The two transposes are
-  // O(batch·features) against the GEMM's O(batch·in·out).
-  return batch_to_major(forward_batch_inner(batch_to_inner(input, batch), batch),
-                        batch);
-}
-
-Tensor Dense::batch_inner_with(Tensor input, std::size_t batch,
-                               const float* wt, const float* bias) const {
+Tensor Dense::forward_batch_inner(Tensor input, std::size_t batch,
+                                  WeightSource w) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.size() == batch * in_ &&
                       input.dim(input.rank() - 1) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string()
                          << " for batch " << batch);
-  Tensor out({out_, batch});
-  if (batch < kBatchInnerWideKernelMin) {
-    // Keep the exact gemv chain below the wide-GEMM threshold: gather each
-    // sample's strided column, run the per-sample kernel, scatter back.
-    // Reused scratch: this path runs per decision step in small-fleet
-    // evaluation loops.
-    thread_local std::vector<float> xs, ys;
-    xs.resize(in_);
-    ys.resize(out_);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t j = 0; j < in_; ++j) xs[j] = input[j * batch + b];
-      gemv_bias(wt, xs.data(), bias, ys.data(), out_, in_);
-      for (std::size_t o = 0; o < out_; ++o) out[o * batch + b] = ys[o];
+  if (w.qview == nullptr) {
+    const float* wt = weight_.value.data().data();
+    const float* bias = bias_.value.data().data();
+    if (w.view != nullptr) {
+      thread_local std::vector<float> wbuf, bbuf;
+      const auto wb = w.view->weight_bias(w.offset, weight_.value.size(),
+                                          bias_.value.size(), wbuf, bbuf);
+      wt = wb.weight;
+      bias = wb.bias;
     }
+    Tensor out({out_, batch});
+    if (batch < kBatchInnerWideKernelMin) {
+      // Keep the exact gemv chain below the wide-GEMM threshold: gather
+      // each sample's strided column, run the per-sample kernel, scatter
+      // back. Reused scratch: this path runs per decision step in
+      // small-fleet evaluation loops.
+      thread_local std::vector<float> xs, ys;
+      xs.resize(in_);
+      ys.resize(out_);
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t j = 0; j < in_; ++j) xs[j] = input[j * batch + b];
+        gemv_bias(wt, xs.data(), bias, ys.data(), out_, in_);
+        for (std::size_t o = 0; o < out_; ++o) out[o * batch + b] = ys[o];
+      }
+      return out;
+    }
+    gemm_bias_rows_ordered(wt, input.data().data(), bias, out.data().data(),
+                           out_, in_, batch);
     return out;
   }
-  gemm_bias_rows_ordered(wt, input.data().data(), bias, out.data().data(),
-                         out_, in_, batch);
-  return out;
-}
-
-Tensor Dense::forward_batch_inner(Tensor input, std::size_t batch) {
-  return batch_inner_with(std::move(input), batch, weight_.value.data().data(),
-                          bias_.value.data().data());
-}
-
-Tensor Dense::forward_view(const Tensor& input, const WeightView& view,
-                           std::size_t param_offset) {
-  FRLFI_CHECK_MSG(input.size() == in_, label_ << ": input size "
-                                              << input.size() << " != " << in_);
-  thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  Tensor out({out_});
-  gemv_bias(wb.weight, input.data().data(), wb.bias, out.data().data(), out_,
-            in_);
-  return out;
-}
-
-Tensor Dense::forward_batch_inner_view(Tensor input, std::size_t batch,
-                                       const WeightView& view,
-                                       std::size_t param_offset) {
-  thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
-}
-
-Tensor Dense::forward_quant(const Tensor& input, const QuantWeightView& qview,
-                            std::size_t param_offset) {
-  // Width-1 batch-inner routing (the flat sample's layout is unchanged):
-  // one code path for single and batched keeps them bit-aligned by
-  // construction, and the integer kernels make the width immaterial.
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_quant(input.reshaped(in_shape), 1, qview,
-                                       param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Dense::forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                        const QuantWeightView& qview,
-                                        std::size_t param_offset) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.size() == batch * in_ &&
-                      input.dim(input.rank() - 1) == batch,
-                  label_ << ": bad batch-inner input " << input.shape_string()
-                         << " for batch " << batch);
+  const QuantWeightView& qview = *w.qview;
   thread_local std::vector<std::int8_t> wqbuf, bqbuf, xq;
   thread_local std::vector<float> sx, bias_f;
   thread_local std::vector<std::int32_t> acc;
-  const std::int8_t* wq = qview.span(param_offset, out_ * in_, wqbuf);
-  const std::int8_t* bq = qview.span(param_offset + out_ * in_, out_, bqbuf);
+  const std::int8_t* wq = qview.span(w.offset, out_ * in_, wqbuf);
+  const std::int8_t* bq = qview.span(w.offset + out_ * in_, out_, bqbuf);
   // The bias executes in float, dequantized from its deployed words with
   // the image's scale — the exact value the float-shadow base holds.
   bias_f.resize(out_);

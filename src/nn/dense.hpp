@@ -19,45 +19,22 @@ class Dense final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Batched forward as one GEMM in the transposed layout (delegates to
-  /// forward_batch_inner between two batch transposes). Every output
-  /// element accumulates bias-first then the in-features in increasing
-  /// order — the exact gemv_bias chain — making batched rows bit-identical
-  /// to per-sample forward() for every batch size.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Batch-innermost forward: the (in, B) input IS the Xᵀ operand, so the
+  /// Batch-inner forward: the (in, B) input IS the Xᵀ operand, so the
   /// bias-seeded GEMM consumes and produces the transposed layout with no
-  /// repacking at all. Bit-identical to forward() at every batch size.
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
-
-  /// Fault-overlay plane: forward()'s exact gemv chain with weight/bias
-  /// read through `view` (zero-copy when the overlay misses this layer),
-  /// cache-free and reentrant — bit-identical to mutate-forward-restore.
-  Tensor forward_view(const Tensor& input, const WeightView& view,
-                      std::size_t param_offset) override;
-
-  /// View-directed batch-inner forward; same equivalence contract as
-  /// forward_batch_inner, reentrant across concurrent views.
-  Tensor forward_batch_inner_view(Tensor input, std::size_t batch,
-                                  const WeightView& view,
-                                  std::size_t param_offset) override;
-
-  /// Int8-native forward: y = bias_f + (Wq · xq) * (w_scale * x_scale)
-  /// with Wq read straight from the deployed words through `qview`, xq the
-  /// per-sample requantized input, and the product accumulated in int32
-  /// (tensor/gemm_s8.hpp). Bit-identical to forward_batch_inner_quant of
-  /// the same sample at any width (integer accumulation is exact);
-  /// matches the float-shadow forward_view within the quantization
-  /// tolerance of one activation rounding per input feature.
-  Tensor forward_quant(const Tensor& input, const QuantWeightView& qview,
-                       std::size_t param_offset) override;
-
-  /// Batch-inner int8-native forward with per-sample activation scales;
-  /// see forward_quant. Reentrant, cache-free.
-  Tensor forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                   const QuantWeightView& qview,
-                                   std::size_t param_offset) override;
+  /// repacking. On the float planes (own tensors, or weight/bias read
+  /// through the view, zero-copy when the overlay misses this layer) every
+  /// output element accumulates bias-first then the in-features in
+  /// increasing order, the exact gemv_bias chain of forward(), so the
+  /// result is bit-identical to forward() at every batch size.
+  ///
+  /// On the int8 plane: y = bias_f + (Wq · xq) * (w_scale * x_scale),
+  /// with Wq the deployed words, xq each sample's requantized input and
+  /// the product accumulated in int32 (tensor/gemm_s8.hpp). Integer
+  /// accumulation is exact, so every width gives the same bits. It
+  /// matches the float-shadow view within the quantization tolerance of
+  /// one activation rounding per input feature.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override;
@@ -76,10 +53,6 @@ class Dense final : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  // forward_batch_inner's compute with an explicit weight source.
-  Tensor batch_inner_with(Tensor input, std::size_t batch, const float* wt,
-                          const float* bias) const;
-
   std::size_t in_, out_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)

@@ -15,12 +15,10 @@ class Flatten final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// (B, ...) -> (B, prod(...)): pure reshape, no cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
   /// (..., B) -> (prod(...), B): in batch-inner layout flattening is a
-  /// zero-copy reshape of the moved-in tensor.
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
+  /// zero-copy reshape of the moved-in tensor. Ignores the weight source.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;

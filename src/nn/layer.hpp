@@ -10,14 +10,12 @@
 /// following backward() can produce input gradients and accumulate
 /// parameter gradients.
 ///
-/// Inference additionally has a batched path: forward_batch() maps a
-/// tensor whose leading dimension is the batch (rank-4 [B,C,H,W] for conv
-/// stages, rank-2 [B,features] for dense stages) to the batched output.
-/// The base-class default simply loops forward() over the samples — by
-/// construction bit-identical to the per-sample path — while the
-/// compute-heavy layers override it with real multi-sample GEMMs.
-/// forward_batch() is inference-only: it never touches the backward()
-/// caches, so interleaving batched evaluation with training is safe.
+/// Inference has one entry, the const batch-inner forward_batch_inner():
+/// the batch is the innermost dimension and a WeightSource says which
+/// weight plane the parameterized layers read. A single sample is the
+/// width-1 case. Being const, it cannot touch the backward() caches, so
+/// interleaving inference with training is safe and one layer object can
+/// serve concurrent inference calls.
 
 #include <memory>
 #include <string>
@@ -34,6 +32,24 @@ struct WeightView;
 // Its int8-native twin: clean deployed words + sparse word overlay + the
 // image's dequantization scale (see fault/overlay.hpp).
 struct QuantWeightView;
+
+/// The weight plane an inference forward reads: the layer's own tensors
+/// (both pointers null), a float view (`view`: the deployed base plus a
+/// sparse corruption overlay), or an int8 view (`qview`: the deployed
+/// words themselves, run as int8 x requantized activations in int32).
+/// At most one pointer is set. `offset` is the layer's first flat
+/// parameter index in the view. Parameterless layers ignore the source,
+/// so on the int8 plane they run in float.
+struct WeightSource {
+  const WeightView* view = nullptr;
+  const QuantWeightView* qview = nullptr;
+  std::size_t offset = 0;
+
+  WeightSource() = default;
+  WeightSource(const WeightView* v, std::size_t off) : view(v), offset(off) {}
+  WeightSource(const QuantWeightView* q, std::size_t off)
+      : qview(q), offset(off) {}
+};
 
 /// Batch width at which the batch-inner layers switch from the per-sample
 /// gather kernels to the wide B-stride SIMD kernels (Conv2D's direct
@@ -74,82 +90,25 @@ class Layer {
   /// dLoss/dInput for the layer below.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Map `batch` stacked input samples (leading dim = batch) to the
-  /// stacked outputs. Row b of the result equals forward() of row b —
-  /// bit-identical wherever the GEMM ordering contract holds (see
-  /// gemm.hpp); layers whose batched kernels reassociate tiny reductions
-  /// document the tolerance. Unlike forward(), nothing is cached: calling
-  /// backward() afterwards still differentiates the last forward().
+  /// The inference entry. `input` carries the batch as the innermost
+  /// (fastest-moving) dimension: (C, H, W, B) for image stages,
+  /// (features, B) for flat stages. Every elementwise, tap and GEMM kernel
+  /// then runs across the batch with unit stride, and convolutions need
+  /// no im2col. A single sample is the width-1 case: (..., 1) has the
+  /// sample's own memory layout. Taking the tensor by value lets
+  /// elementwise layers run in place on the moved-in buffer.
   ///
-  /// The default implementation loops forward() per sample and therefore
-  /// *does* overwrite the backward caches; overrides must not.
-  virtual Tensor forward_batch(const Tensor& input, std::size_t batch);
-
-  /// Batch-innermost fast path used by Network::forward_batch: `input`
-  /// carries the batch as the innermost (fastest-moving) dimension —
-  /// (C, H, W, B) for image stages, (features, B) for flat stages — so
-  /// every elementwise/tap/GEMM kernel vectorizes across the batch with
-  /// unit stride and convolutions need no im2col at all. Taking the tensor
-  /// by value lets elementwise layers run in place on the moved-in buffer.
-  /// Same numeric contract and cache rules as forward_batch. The default
-  /// transposes to batch-major, runs forward_batch, and transposes back.
+  /// On the float planes, column b of the result matches forward() of
+  /// sample b on the same weights: bit-identical wherever the GEMM
+  /// ordering contract holds (see gemm.hpp), and within a documented
+  /// tolerance where a batched kernel reassociates a tiny reduction. On
+  /// the int8 plane every width gives the same bits.
   ///
-  /// Thread safety: Network's *sharded* forward_batch calls this
-  /// concurrently on one layer object (disjoint sub-batches). Overrides
-  /// must therefore be cache-free and reentrant — per-thread scratch only
-  /// (thread_local, as Conv2D/Dense do). A layer left on this base-class
-  /// default is NOT shardable: the forward_batch fallback writes the
-  /// per-sample backward caches.
-  virtual Tensor forward_batch_inner(Tensor input, std::size_t batch);
-
-  /// View-directed forward (the fault-overlay plane): the same compute as
-  /// forward(), but every parameter value is read through `view` — the
-  /// network's deployed base plus a sparse corruption overlay — with this
-  /// layer's parameters starting at flat offset `param_offset` in the
-  /// view. The layer's own parameter tensors are never touched and, unlike
-  /// forward(), nothing is cached, so distinct views can run concurrently
-  /// on one layer object. Layers without parameters inherit the default,
-  /// which routes the sample through the cache-free batch-inner path as a
-  /// width-1 batch; parameterized layers must override (the default
-  /// rejects them).
-  virtual Tensor forward_view(const Tensor& input, const WeightView& view,
-                              std::size_t param_offset);
-
-  /// Batch-innermost view-directed forward: forward_batch_inner's numeric
-  /// and thread-safety contract (per-thread scratch only, no caches) with
-  /// parameters read through `view` as in forward_view. This is the
-  /// kernel-level entry that lets a sharded Network::forward_batch run
-  /// per-lane sub-batches with per-lane corrupted weights concurrently.
-  virtual Tensor forward_batch_inner_view(Tensor input, std::size_t batch,
-                                          const WeightView& view,
-                                          std::size_t param_offset);
-
-  /// Quantized (int8-native) forward: parameterized layers execute the
-  /// deployed int8 words read through `qview` — int8 weights x
-  /// int8-requantized activations in int32 accumulators, dequantized
-  /// through the scale product (numeric/quantize.hpp) — instead of the
-  /// float shadow. Float tensors still flow between layers; only the
-  /// parameterized layers' inner products run in the integer domain, so
-  /// parameterless layers (ReLU, Flatten) inherit the default, which
-  /// routes through the cache-free batch-inner path. Same cache and
-  /// reentrancy rules as forward_view. Within one numeric plane the path
-  /// is exact: integer accumulation is associative, so single, batched,
-  /// and sharded quant forwards agree bit-for-bit at every width — the
-  /// float-shadow path remains the golden reference within the documented
-  /// per-layer quantization tolerance.
-  virtual Tensor forward_quant(const Tensor& input,
-                               const QuantWeightView& qview,
-                               std::size_t param_offset);
-
-  /// Batch-innermost quantized forward: forward_batch_inner_view's
-  /// layout, thread-safety and cache contract on the int8-native plane.
-  /// Activation scales are derived per *sample* (column), so the result
-  /// is bit-identical to forward_quant of each sample at every batch
-  /// width — no wide-kernel threshold exists in the quant numeric
-  /// contract.
-  virtual Tensor forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                           const QuantWeightView& qview,
-                                           std::size_t param_offset);
+  /// Overrides must be reentrant and use per-thread scratch only
+  /// (thread_local, as Conv2D/Dense do): Network's sharded and per-lane
+  /// forwards call this concurrently on one layer object.
+  virtual Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                                     WeightSource w) const = 0;
 
   /// Trainable parameters (possibly empty). Pointers remain valid for the
   /// lifetime of the layer.

@@ -10,6 +10,15 @@
 #include "fault/overlay.hpp"
 
 namespace frlfi {
+namespace {
+
+template <typename View>
+void check_view(const View& view, std::size_t params) {
+  FRLFI_CHECK_MSG(view.params == params, "view holds " << view.params
+                                             << " params, network " << params);
+}
+
+}  // namespace
 
 Network& Network::add(std::unique_ptr<Layer> layer) {
   FRLFI_CHECK(layer != nullptr);
@@ -43,14 +52,13 @@ void Network::set_activation_hook(
 
 Tensor Network::forward(const Tensor& input, const WeightView* view) {
   FRLFI_CHECK_MSG(!layers_.empty(), "forward on empty network");
-  if (view != nullptr)
-    FRLFI_CHECK_MSG(view->params == param_total_,
-                    "view holds " << view->params << " params, network "
-                                  << param_total_);
+  if (view != nullptr) {
+    check_view(*view, param_total_);
+    return forward_one(input, WeightSource(view, 0));
+  }
   Tensor x = input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = view != nullptr ? layers_[i]->forward_view(x, *view, layer_offsets_[i])
-                        : layers_[i]->forward(x);
+    x = layers_[i]->forward(x);
     if (activation_hook_) activation_hook_(i, x);
   }
   return x;
@@ -66,12 +74,12 @@ std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
 
 namespace {
 
-// Row-range task engine shared by the float and quantized batched
-// forwards: contiguous runs of rows sharing one view pointer (empty
-// lane_views: the whole batch, effective view ViewPtr{}), each run split
-// by the same width-preserving shard planner. Each task takes a
-// contiguous slice of batch-major rows, transposes it to batch-inner,
-// runs `run_stack(x, nb, view)` — the plane-specific layer loop — on its
+// Row-range task engine of the batched forward (both planes): contiguous
+// runs of rows sharing one view pointer (empty lane_views: the whole
+// batch, effective view ViewPtr{}), each run split by the same
+// width-preserving shard planner. Each task takes a contiguous slice of
+// batch-major rows, transposes it to batch-inner, runs
+// `run_stack(x, nb, view)` — the layer loop on that view — on its
 // own tensors (per-task workspace; nothing below is shared but the
 // read-only weights/views and the hook), and transposes back. Task
 // outputs are stitched afterwards so no lane writes into a shared buffer.
@@ -139,112 +147,78 @@ Tensor run_row_tasks(const Tensor& input, std::size_t batch,
 
 }  // namespace
 
-Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
-                              ThreadPool* pool,
-                              std::span<const WeightView* const> lane_views) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch on empty network");
-  FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch,
-                  "bad batch input " << input.shape_string());
-  bool any_view = false;
-  if (!lane_views.empty()) {
-    FRLFI_CHECK_MSG(lane_views.size() == batch,
-                    "lane_views " << lane_views.size() << " for batch "
-                                  << batch);
-    for (const WeightView* v : lane_views) {
-      if (v == nullptr) continue;
-      FRLFI_CHECK_MSG(v->params == param_total_,
-                      "view holds " << v->params << " params, network "
-                                    << param_total_);
-      any_view = true;
-    }
-  }
-  const std::size_t lanes = pool ? pool->size() : 1;
-  if (!any_view && batch_shard_count(batch, lanes) <= 1) {
-    // One transpose into batch-innermost layout, the whole stack on the
-    // fast batch-inner kernels, one transpose back.
-    Tensor x = batch_to_inner(input, batch);
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i]->forward_batch_inner(std::move(x), batch);
-      if (activation_hook_) activation_hook_(i, x);
-    }
-    return batch_to_major(x, batch);
-  }
-  return run_row_tasks(
-      input, batch, lanes, pool,
-      any_view ? lane_views : std::span<const WeightView* const>{},
-      [&](Tensor x, std::size_t nb, const WeightView* view) {
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-          x = view != nullptr
-                  ? layers_[i]->forward_batch_inner_view(std::move(x), nb,
-                                                         *view,
-                                                         layer_offsets_[i])
-                  : layers_[i]->forward_batch_inner(std::move(x), nb);
-          if (activation_hook_) activation_hook_(i, x);
-        }
-        return x;
-      });
-}
-
-Tensor Network::forward_quant(const Tensor& input,
-                              const QuantWeightView& qview) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "forward_quant on empty network");
-  FRLFI_CHECK_MSG(qview.params == param_total_,
-                  "quant view holds " << qview.params << " params, network "
-                                      << param_total_);
-  Tensor x = input;
+Tensor Network::forward_inner(Tensor x, std::size_t batch,
+                              WeightSource plane) const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i]->forward_quant(x, qview, layer_offsets_[i]);
+    plane.offset = layer_offsets_[i];
+    x = layers_[i]->forward_batch_inner(std::move(x), batch, plane);
     if (activation_hook_) activation_hook_(i, x);
   }
   return x;
 }
 
-Tensor Network::forward_batch_quant(
-    const Tensor& input, std::size_t batch, const QuantWeightView& qview,
-    ThreadPool* pool, std::span<const QuantWeightView* const> lane_views) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch_quant on empty network");
+Tensor Network::forward_one(const Tensor& input, WeightSource plane) const {
+  std::vector<std::size_t> shape = input.shape();
+  shape.push_back(1);
+  Tensor y = forward_inner(input.reshaped(shape), 1, plane);
+  shape.assign(y.shape().begin(), y.shape().end() - 1);
+  return std::move(y).reshaped(shape);
+}
+
+template <typename View>
+Tensor Network::forward_rows(const Tensor& input, std::size_t batch,
+                             ThreadPool* pool,
+                             std::span<const View* const> lane_views,
+                             const View* shared) const {
+  FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch on empty network");
   FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch,
                   "bad batch input " << input.shape_string());
-  FRLFI_CHECK_MSG(qview.params == param_total_,
-                  "quant view holds " << qview.params << " params, network "
-                                      << param_total_);
+  if (shared != nullptr) check_view(*shared, param_total_);
   bool any_override = false;
   if (!lane_views.empty()) {
     FRLFI_CHECK_MSG(lane_views.size() == batch,
                     "lane_views " << lane_views.size() << " for batch "
                                   << batch);
-    for (const QuantWeightView* v : lane_views) {
+    for (const View* v : lane_views) {
       if (v == nullptr) continue;
-      FRLFI_CHECK_MSG(v->params == param_total_,
-                      "quant view holds " << v->params << " params, network "
-                                          << param_total_);
+      check_view(*v, param_total_);
       any_override = true;
     }
   }
   const std::size_t lanes = pool ? pool->size() : 1;
   if (!any_override && batch_shard_count(batch, lanes) <= 1) {
-    Tensor x = batch_to_inner(input, batch);
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i]->forward_batch_inner_quant(std::move(x), batch, qview,
-                                                layer_offsets_[i]);
-      if (activation_hook_) activation_hook_(i, x);
-    }
-    return batch_to_major(x, batch);
+    // One transpose into batch-innermost layout, the whole stack on the
+    // fast batch-inner kernels, one transpose back.
+    return batch_to_major(forward_inner(batch_to_inner(input, batch), batch,
+                                        WeightSource(shared, 0)),
+                          batch);
   }
   return run_row_tasks(
       input, batch, lanes, pool,
-      any_override ? lane_views : std::span<const QuantWeightView* const>{},
-      [&](Tensor x, std::size_t nb, const QuantWeightView* view) {
-        // A null lane entry means "the shared base image": unlike the
-        // float plane there is no own-weights fallback on this plane.
-        const QuantWeightView& qv = view != nullptr ? *view : qview;
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-          x = layers_[i]->forward_batch_inner_quant(std::move(x), nb, qv,
-                                                    layer_offsets_[i]);
-          if (activation_hook_) activation_hook_(i, x);
-        }
-        return x;
+      any_override ? lane_views : std::span<const View* const>{},
+      [&](Tensor x, std::size_t nb, const View* view) {
+        return forward_inner(std::move(x), nb,
+                             WeightSource(view != nullptr ? view : shared, 0));
       });
+}
+
+Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
+                              ThreadPool* pool,
+                              std::span<const WeightView* const> lane_views) {
+  return forward_rows<WeightView>(input, batch, pool, lane_views, nullptr);
+}
+
+Tensor Network::forward_quant(const Tensor& input,
+                              const QuantWeightView& qview) {
+  FRLFI_CHECK_MSG(!layers_.empty(), "forward_quant on empty network");
+  check_view(qview, param_total_);
+  return forward_one(input, WeightSource(&qview, 0));
+}
+
+Tensor Network::forward_batch_quant(
+    const Tensor& input, std::size_t batch, const QuantWeightView& qview,
+    ThreadPool* pool, std::span<const QuantWeightView* const> lane_views) {
+  return forward_rows<QuantWeightView>(input, batch, pool, lane_views, &qview);
 }
 
 Tensor Network::backward(const Tensor& grad_output) {

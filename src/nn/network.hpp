@@ -25,7 +25,7 @@ struct QuantWeightView;  // fault/overlay.hpp (see layer.hpp)
 /// and the golden reference — runs the dequantized shadow of the deployed
 /// weights; Int8 opts into the quantized plane: the deployed int8 words
 /// themselves, multiplied against int8-requantized activations in int32
-/// accumulators (Layer::forward_quant), locked against the float path
+/// accumulators (WeightSource::qview), locked against the float path
 /// within the per-layer quantization tolerance by tests.
 enum class InferenceMode { Float32, Int8 };
 
@@ -65,24 +65,27 @@ class Network {
     return activation_hook_;
   }
 
-  /// Run the full forward pass. With a non-null `view` (the fault-overlay
-  /// plane, fault/overlay.hpp), every layer reads its parameters through
-  /// the view — deployed base + sparse corruption overlay — instead of its
-  /// own tensors: the result is bit-identical to mutating the network to
-  /// the view's effective weights, forwarding, and restoring, but nothing
-  /// is ever written. The view's length must equal parameter_count().
+  /// Run the full forward pass. With a null `view` this is the training
+  /// forward: each layer's forward() caches what backward() needs. With a
+  /// non-null `view` (the fault-overlay plane, fault/overlay.hpp) it is
+  /// the width-1 case of forward_batch: every layer reads its parameters
+  /// through the view (deployed base + sparse corruption overlay) instead
+  /// of its own tensors, and nothing is written. The result is
+  /// bit-identical to mutating the network to the view's effective
+  /// weights, forwarding, and restoring. The activation hook then receives
+  /// width-1 batch-inner tensors, shape (..., 1). The view's length must
+  /// equal parameter_count().
   Tensor forward(const Tensor& input, const WeightView* view = nullptr);
 
-  /// Run the full forward pass over `batch` stacked samples (leading dim =
-  /// batch; rank-4 (B,C,H,W) for conv stacks, rank-2 (B,features) for MLPs).
-  /// Row b of the result matches forward() of sample b under the layer
-  /// equivalence contracts (see Layer::forward_batch). Internally the stack
-  /// runs in batch-innermost layout (one transpose in, one out; see
-  /// Layer::forward_batch_inner), so the activation hook, when set,
-  /// receives each layer's activations as a *batch-inner* tensor —
-  /// (C,H,W,B)/(features,B) — which elementwise consumers like the range
-  /// screen scan in one pass over the whole batch. Backward caches are
-  /// untouched except through the default per-sample fallback.
+  /// Run the full inference forward over `batch` stacked samples (leading
+  /// dim = batch; rank-4 (B,C,H,W) for conv stacks, rank-2 (B,features)
+  /// for MLPs). Row b of the result matches forward() of sample b under
+  /// the layer equivalence contracts (see Layer::forward_batch_inner).
+  /// Internally the stack runs in batch-innermost layout (one transpose
+  /// in, one out), so the activation hook, when set, receives each layer's
+  /// activations as a *batch-inner* tensor — (C,H,W,B)/(features,B) —
+  /// which elementwise consumers like the range screen scan in one pass
+  /// over the whole batch. Backward caches are never touched.
   ///
   /// With a non-null `pool`, the batch is sharded into contiguous
   /// per-lane sub-batches and the full layer stack runs per shard across
@@ -94,13 +97,9 @@ class Network {
   /// hook is then invoked once per (layer, shard), possibly concurrently,
   /// with that shard's batch-inner activations — hooks must be
   /// thread-safe under sharding (the range screen's elementwise suppressor
-  /// is). Precondition of the sharded path: every layer's
-  /// forward_batch_inner must be safe to call concurrently on the same
-  /// layer object — true for all in-tree layers, but NOT for a layer
-  /// relying on the Layer base-class default, which falls back through
-  /// per-sample forward() and mutates the backward caches (see
-  /// layer.hpp). Calling this from inside a pool job is safe: the nested
-  /// dispatch runs inline (see parallel.hpp).
+  /// is). The const, reentrant layer entry makes the layers themselves
+  /// safe to share. Calling this from inside a pool job is safe: the
+  /// nested dispatch runs inline (see parallel.hpp).
   ///
   /// `lane_views` (empty, or one entry per batch row) is the fault-overlay
   /// plane: row b reads its parameters through *lane_views[b] (null =
@@ -115,13 +114,15 @@ class Network {
                        ThreadPool* pool = nullptr,
                        std::span<const WeightView* const> lane_views = {});
 
-  /// Int8-native forward (InferenceMode::Int8): every parameterized layer
-  /// executes the deployed int8 words read through `qview` — weights ×
-  /// requantized activations in int32, per-layer scale products — instead
-  /// of its float tensors (Layer::forward_quant). The view's length must
-  /// equal parameter_count(). Bit-identical to forward_batch_quant of the
-  /// same sample at any width; matches the float forward over
-  /// qview-as-float-view within the quantization tolerance.
+  /// Int8-native forward (InferenceMode::Int8), the width-1 case of
+  /// forward_batch_quant: every parameterized layer executes the deployed
+  /// int8 words read through `qview` — weights × requantized activations
+  /// in int32, per-layer scale products — instead of its float tensors.
+  /// The view's length must equal parameter_count(). Bit-identical to
+  /// forward_batch_quant of the same sample at any width; matches the
+  /// float forward over qview-as-float-view within the quantization
+  /// tolerance. The activation hook receives (..., 1) tensors, as in
+  /// forward() with a view.
   Tensor forward_quant(const Tensor& input, const QuantWeightView& qview);
 
   /// Batched int8-native forward: forward_batch's layout, sharding and
@@ -177,6 +178,22 @@ class Network {
   void load_parameters(std::istream& is);
 
  private:
+  // The inference layer loop over a batch-inner tensor: every layer reads
+  // `plane` at its own flat offset, the hook sees every activation.
+  Tensor forward_inner(Tensor x, std::size_t batch, WeightSource plane) const;
+
+  // The one body of forward_batch and forward_batch_quant: validation,
+  // the unsharded fast path, and the sharded / per-lane row tasks. Row b
+  // reads lane_views[b], or `shared` where that is null or absent.
+  template <typename View>
+  Tensor forward_rows(const Tensor& input, std::size_t batch,
+                      ThreadPool* pool, std::span<const View* const> lane_views,
+                      const View* shared) const;
+
+  // forward_inner of one sample as a width-1 batch: (..., 1) has the
+  // sample's own layout, so no transpose is needed.
+  Tensor forward_one(const Tensor& input, WeightSource plane) const;
+
   std::vector<std::unique_ptr<Layer>> layers_;
   // Flat parameter offset per layer (the coordinate system WeightView
   // overlays index) + running total. Maintained eagerly by add(), so

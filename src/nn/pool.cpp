@@ -22,8 +22,11 @@ Tensor MaxPool2D::forward(const Tensor& input) {
   for (std::size_t ch = 0; ch < c; ++ch) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       for (std::size_t ox = 0; ox < ow; ++ox) {
+        // Seed the argmax with the window's first tap, so a window with
+        // nothing above the seed value (all -inf or NaN after a fault)
+        // still routes its gradient inside the window.
         float best = -3.4e38f;
-        std::size_t best_idx = 0;
+        std::size_t best_idx = (ch * h + oy * window_) * w + ox * window_;
         for (std::size_t ky = 0; ky < window_; ++ky) {
           for (std::size_t kx = 0; kx < window_; ++kx) {
             const std::size_t iy = oy * window_ + ky;
@@ -44,35 +47,8 @@ Tensor MaxPool2D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool2D::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  const std::size_t c = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const std::size_t oh = h / window_, ow = w / window_;
-  FRLFI_CHECK_MSG(oh > 0 && ow > 0, label_ << ": input smaller than window");
-  Tensor out({batch, c, oh, ow});
-  // Batch and channel fold into one plane axis: pooling is independent per
-  // (sample, channel) plane.
-  const std::size_t planes = batch * c;
-  for (std::size_t pl = 0; pl < planes; ++pl) {
-    const float* src = input.data().data() + pl * h * w;
-    float* dst = out.data().data() + pl * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float best = -3.4e38f;
-        for (std::size_t ky = 0; ky < window_; ++ky)
-          for (std::size_t kx = 0; kx < window_; ++kx) {
-            const float v = src[(oy * window_ + ky) * w + ox * window_ + kx];
-            if (v > best) best = v;
-          }
-        dst[oy * ow + ox] = best;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool2D::forward_batch_inner(Tensor input, std::size_t batch) {
+Tensor MaxPool2D::forward_batch_inner(Tensor input, std::size_t batch,
+                                      WeightSource /*w*/) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(3) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string());
   const std::size_t c = input.dim(0), h = input.dim(1), w = input.dim(2);

@@ -17,13 +17,11 @@ class MaxPool2D final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Pools every (sample, channel) plane of a (B, C, H, W) batch in one
-  /// pass; bit-identical to the per-sample path, no argmax cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
   /// Batch-innermost pooling over (C, H, W, B): each window tap is a
-  /// unit-stride vector max across the batch. Bit-identical.
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
+  /// unit-stride vector max across the batch. Bit-identical to forward();
+  /// no argmax cache written. Ignores the weight source.
+  Tensor forward_batch_inner(Tensor input, std::size_t batch,
+                             WeightSource w) const override;
 
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/error.hpp"
+#include "fault/overlay.hpp"
 #include "frl/policies.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -112,6 +114,50 @@ TEST(Network, ActivationHookCanMutate) {
   EXPECT_EQ(hooked.sum(), 0.0f);
   net.set_activation_hook(nullptr);
   EXPECT_TRUE(net.forward(Tensor({3}, 1.0f)).equals(clean));
+}
+
+TEST(Network, InferenceEntriesRejectMalformedViews) {
+  Rng rng(14);
+  Network net = small_net(rng);
+  const std::size_t batch = 3;
+  const Tensor obs({3}, 0.5f);
+  const Tensor xb({batch, 3}, 0.5f);
+  const DeployedWeights deployed =
+      DeployedWeights::int8_image(net.flat_parameters());
+  const WeightView view = deployed.view(nullptr);
+  const QuantWeightView qview = deployed.quant_view(nullptr);
+  WeightView short_view = view;
+  short_view.params -= 1;
+  QuantWeightView short_qview = qview;
+  short_qview.params -= 1;
+
+  // Well-formed views and lane lists are accepted.
+  EXPECT_NO_THROW(net.forward(obs, &view));
+  EXPECT_NO_THROW(net.forward_quant(obs, qview));
+  const std::vector<const WeightView*> lanes(batch, &view);
+  const std::vector<const QuantWeightView*> qlanes(batch, &qview);
+  EXPECT_NO_THROW(net.forward_batch(xb, batch, nullptr, lanes));
+  EXPECT_NO_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qlanes));
+
+  // A view whose length is not parameter_count().
+  EXPECT_THROW(net.forward(obs, &short_view), Error);
+  EXPECT_THROW(net.forward_quant(obs, short_qview), Error);
+  EXPECT_THROW(net.forward_batch_quant(xb, batch, short_qview), Error);
+
+  // lane_views of the wrong length.
+  const std::vector<const WeightView*> few(batch - 1, &view);
+  const std::vector<const QuantWeightView*> qfew(batch - 1, &qview);
+  EXPECT_THROW(net.forward_batch(xb, batch, nullptr, few), Error);
+  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qfew),
+               Error);
+
+  // A wrong-size lane entry.
+  const std::vector<const WeightView*> bad{&view, &short_view, nullptr};
+  const std::vector<const QuantWeightView*> qbad{nullptr, &short_qview,
+                                                 &qview};
+  EXPECT_THROW(net.forward_batch(xb, batch, nullptr, bad), Error);
+  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qbad),
+               Error);
 }
 
 TEST(Network, SaveLoadParameters) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/error.hpp"
 #include "nn/activations.hpp"
@@ -172,6 +173,20 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   const Tensor g = p.backward(Tensor({1, 1, 1}, 1.0f));
   EXPECT_FLOAT_EQ(g[3], 1.0f);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
+}
+
+TEST(MaxPool2D, BackwardStaysInsideAllNegInfWindow) {
+  // A window where nothing beats the argmax seed (all -inf, as after a
+  // fault) must still route its gradient to one of its own taps, not to
+  // flat input 0 in the neighbouring window.
+  MaxPool2D p(2);
+  Tensor x({1, 2, 4}, 1.0f);
+  for (const std::size_t i : {2, 3, 6, 7})
+    x[i] = -std::numeric_limits<float>::infinity();
+  p.forward(x);
+  const Tensor g = p.backward(Tensor({1, 1, 2}, 1.0f));
+  EXPECT_FLOAT_EQ(g[0], 1.0f);
+  EXPECT_FLOAT_EQ(g[2] + g[3] + g[6] + g[7], 1.0f);
 }
 
 TEST(MaxPool2D, GradientCheckThroughNet) {
