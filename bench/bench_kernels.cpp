@@ -9,9 +9,6 @@
 ///    quant kernels (forward_quant / forward_batch_quant) vs the float
 ///    plane at the same drone-policy shapes, with a tolerance gate locking
 ///    the int8 logits to the float shadow of the same deployed image,
-///  * sharded batched inference: a B x threads sweep of forward_batch
-///    split across a ThreadPool, with a bit-identity check against the
-///    unsharded forward (wall-clock speedup needs multi-core hardware),
 ///  * batched Trans-1: one corrupted read per agent, old per-lane
 ///    clone+mutate+restore vs the overlay plane (per-lane weight views
 ///    through one grouped forward_batch), with a bit-identity check and
@@ -126,11 +123,6 @@ struct CampaignRow {
   double serial_tps = 0.0, parallel_tps = 0.0;
   bool identical = false;
 };
-struct ShardedRow {
-  std::size_t batch = 0, threads = 0, shards = 0;
-  double us = 0.0, speedup = 0.0;  // vs the same batch on 1 thread
-  bool identical = false;          // bit-identical to the unsharded forward
-};
 struct Trans1Row {
   std::size_t agents = 0;
   double clone_us = 0.0, overlay_us = 0.0, speedup = 0.0;
@@ -172,7 +164,6 @@ struct Report {
   std::vector<BatchedRow> batched;
   std::vector<Int8Row> int8_inference;
   double int8_max_abs_diff = 0.0;  // vs the float shadow, across all rows
-  std::vector<ShardedRow> sharded;
   std::vector<Trans1Row> trans1;
   std::vector<ServerRoundRow> server_round;
   std::vector<TrainRoundRow> train_round;
@@ -368,7 +359,7 @@ bool bench_int8_inference(double min_time, Report& report) {
     }
     // Tolerance gate: int8 logits vs the float shadow of the SAME image.
     const std::vector<const WeightView*> shadow_views(batch, &fview);
-    const Tensor shadow = net.forward_batch(xb, batch, nullptr, shadow_views);
+    const Tensor shadow = net.forward_batch(xb, batch, shadow_views);
     const Tensor qout = net.forward_batch_quant(xb, batch, qview);
     float maxd = 0.0f;
     for (std::size_t i = 0; i < qout.size(); ++i)
@@ -389,62 +380,6 @@ bool bench_int8_inference(double min_time, Report& report) {
   std::printf("max |int8 - float shadow| across rows: %.6f (gate < %.2f)\n",
               report.int8_max_abs_diff, static_cast<double>(kTol));
   return all_within;
-}
-
-// Multi-core sharded inference: one forward_batch split into per-lane
-// sub-batches across a ThreadPool (drone policy shapes). Wall-clock gains
-// need real cores; bit-identity to the unsharded forward is checked (and
-// must hold) everywhere.
-bool bench_sharded(double min_time, Report& report) {
-  std::printf(
-      "\n== Sharded batched inference: forward_batch over the thread pool "
-      "==\n");
-  std::printf(
-      "(drone policy, B x threads sweep, microseconds per whole-batch call)\n");
-  std::printf("%-8s %8s %8s %14s %10s %14s\n", "batch", "threads", "shards",
-              "us/call", "speedup", "bit-identical");
-  Rng rng(11);
-  Network net = make_drone_policy(rng);
-  bool all_identical = true;
-  for (const std::size_t batch : {std::size_t{16}, std::size_t{64}}) {
-    Rng xr(12);
-    const Tensor xb =
-        Tensor::random_uniform({batch, 3, 18, 32}, xr, 0.0f, 1.0f);
-    const Tensor serial = net.forward_batch(xb, batch);
-    double t_one_thread = 0.0;
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      // The planner's cost model may decline the split entirely (each
-      // shard must carry >= kBatchShardMinPerShard rows); a declined
-      // config runs the unsharded path verbatim, so measuring it again
-      // under a pool would just re-time the 1-thread row.
-      const std::size_t shards = batch_shard_count(batch, threads);
-      if (threads > 1 && shards <= 1) {
-        std::printf("%-8zu %8zu %8s %14s %10s %14s\n", batch, threads,
-                    "--", "(declined)", "", "");
-        continue;
-      }
-      ThreadPool pool(threads);
-      const double t = time_per_call(
-          min_time, [&] { net.forward_batch(xb, batch, &pool); });
-      if (threads == 1) t_one_thread = t;
-      const Tensor sharded = net.forward_batch(xb, batch, &pool);
-      bool identical = sharded.shape() == serial.shape();
-      for (std::size_t i = 0; identical && i < serial.size(); ++i)
-        identical = sharded[i] == serial[i];
-      all_identical = all_identical && identical;
-      const double speedup = t_one_thread / t;
-      report.sharded.push_back({batch, threads, shards, t * 1e6, speedup,
-                                identical});
-      std::printf("%-8zu %8zu %8zu %14.2f %9.2fx %14s\n", batch, threads,
-                  shards, t * 1e6, speedup, identical ? "YES" : "NO  <-- BUG");
-    }
-  }
-  if (std::thread::hardware_concurrency() <= 1)
-    std::printf(
-        "note: single-core container — sharding cannot show wall-clock "
-        "speedup here; bit-identity is the asserted property.\n");
-  return all_identical;
 }
 
 // Trans-1 evaluation step at the drone policy: every agent takes one
@@ -512,7 +447,7 @@ bool bench_trans1(double min_time, Report& report) {
         views[a] = deployed.view(&overlays[a]);
         lane_views[a] = &views[a];
       }
-      overlay_logits = net.forward_batch(xb, agents, nullptr, lane_views);
+      overlay_logits = net.forward_batch(xb, agents, lane_views);
     };
     const double t_overlay = time_per_call(min_time, run_overlay_path);
     for (std::size_t a = 0; a < agents; ++a)
@@ -1127,18 +1062,7 @@ void write_json(const Report& r, const char* path) {
   std::fprintf(f,
                "    ],\n    \"max_abs_diff_vs_float_shadow\": %.6f\n  },\n",
                r.int8_max_abs_diff);
-  std::fprintf(f, "  \"sharded_inference\": [\n");
-  for (std::size_t i = 0; i < r.sharded.size(); ++i) {
-    const auto& row = r.sharded[i];
-    std::fprintf(f,
-                 "    {\"batch\": %zu, \"threads\": %zu, \"shards\": %zu, "
-                 "\"us_per_call\": %.4f, \"speedup_vs_1thread\": %.3f, "
-                 "\"bit_identical\": %s}%s\n",
-                 row.batch, row.threads, row.shards, row.us, row.speedup,
-                 row.identical ? "true" : "false",
-                 i + 1 < r.sharded.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"trans1_batched\": [\n");
+  std::fprintf(f, "  \"trans1_batched\": [\n");
   for (std::size_t i = 0; i < r.trans1.size(); ++i) {
     const auto& row = r.trans1[i];
     std::fprintf(f,
@@ -1327,11 +1251,9 @@ int main(int argc, char** argv) {
   frlfi::bench_matmul(min_time, report);
   frlfi::bench_batched(min_time, report);
   // Nonzero exit on a determinism regression so the CI smoke run fails —
-  // the campaign reduction, the sharded-forward bit-identity, the
-  // Trans-1 overlay-vs-clone bit-identity, and the int8 plane's
-  // tolerance lock against the float shadow.
+  // the campaign reduction, the Trans-1 overlay-vs-clone bit-identity, and
+  // the int8 plane's tolerance lock against the float shadow.
   const bool int8_ok = frlfi::bench_int8_inference(min_time, report);
-  const bool sharded_ok = frlfi::bench_sharded(min_time, report);
   const bool trans1_ok = frlfi::bench_trans1(min_time, report);
   const bool round_ok = frlfi::bench_federated_round(min_time, report);
   const bool train_ok = frlfi::bench_train_round(quick, report);
@@ -1340,8 +1262,8 @@ int main(int argc, char** argv) {
   const bool fleet_ok = frlfi::bench_fleet_round(quick, report);
   const bool identical = frlfi::bench_campaign(trials, threads, report);
   frlfi::write_json(report, "BENCH_kernels.json");
-  return identical && int8_ok && sharded_ok && trans1_ok && round_ok &&
-                 train_ok && part_ok && channel_ok && fleet_ok
+  return identical && int8_ok && trans1_ok && round_ok && train_ok &&
+                 part_ok && channel_ok && fleet_ok
              ? 0
              : 1;
 }

@@ -33,10 +33,10 @@ struct CampaignConfig {
   /// as-is. With more than one lane `trial_fn` is invoked concurrently and
   /// must not mutate shared state. Nested use — trial_fn itself calling
   /// run_campaign or ThreadPool::parallel_for — never deadlocks: dispatch
-  /// on the *same* pool (the threads==0 global-pool path, or a sharded
-  /// forward handed the outer pool) runs inline, while a nested explicit
-  /// thread count spins its own short-lived pool — real extra threads, so
-  /// avoid stacking explicit counts at both levels (see parallel.hpp).
+  /// on the *same* pool (the threads==0 global-pool path) runs inline,
+  /// while a nested explicit thread count spins its own short-lived pool —
+  /// real extra threads, so avoid stacking explicit counts at both levels
+  /// (see parallel.hpp).
   std::size_t threads = 1;
 };
 

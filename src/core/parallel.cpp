@@ -1,6 +1,8 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "core/error.hpp"
@@ -42,9 +44,13 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("FRLFI_NUM_THREADS")) {
+    // strtoul accepts a sign and wraps ("-1" -> ULONG_MAX), so a value must
+    // start with a digit and fit; anything else is malformed.
     char* tail = nullptr;
+    errno = 0;
     const unsigned long v = std::strtoul(env, &tail, 10);
-    if (tail != env && *tail == '\0' && v > 0)
+    if (std::isdigit(static_cast<unsigned char>(*env)) && errno != ERANGE &&
+        *tail == '\0' && v > 0)
       return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
@@ -159,18 +165,12 @@ ThreadPool& ThreadPool::global() {
 }
 
 void dispatch_lanes(std::size_t threads, std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_per_lane) {
+                    const std::function<void(std::size_t, std::size_t)>& body) {
   FRLFI_CHECK(static_cast<bool>(body));
   if (n == 0) return;
   // Resolve exactly once per dispatch (one FRLFI_NUM_THREADS read).
   const std::size_t resolved = threads == 1 ? 1 : resolve_thread_count(threads);
-  // Minimum-work-per-lane cap: splitting below min_per_lane items per lane
-  // costs more in dispatch than the lanes pay back (the measured
-  // shard-planner anchor), so small n stays unsplit.
-  const std::size_t work_cap =
-      min_per_lane > 1 ? std::max<std::size_t>(n / min_per_lane, 1) : n;
-  const std::size_t lanes = std::min(std::min(resolved, n), work_cap);
+  const std::size_t lanes = std::min(resolved, n);
   if (lanes <= 1) {
     body(0, n);
     return;

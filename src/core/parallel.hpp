@@ -23,11 +23,10 @@
 /// that is already executing a job of the *same* pool (a worker lane, or
 /// the dispatching thread's own lane-0 body) runs the nested body inline on
 /// that thread — nested parallelism degrades to sequential instead of
-/// deadlocking on the pool's completion latch, so sharded forwards compose
-/// with parallel campaigns. Distinct external threads dispatching
-/// *multi-lane* jobs on one pool are serialized through an internal mutex,
-/// which protects the pool's shared job state (dispatches on distinct
-/// pools must not form a waiting cycle). Dispatches that degrade to
+/// deadlocking on the pool's completion latch. Distinct external threads
+/// dispatching *multi-lane* jobs on one pool are serialized through an
+/// internal mutex, which protects the pool's shared job state (dispatches
+/// on distinct pools must not form a waiting cycle). Dispatches that degrade to
 /// inline — nested ones, and single-part jobs (n or lane count <= 1) —
 /// touch no shared job state, take no lock, and are therefore NOT
 /// mutually excluded with other dispatches: a body that callers may
@@ -46,14 +45,15 @@
 namespace frlfi {
 
 /// Resolve an effective worker-lane count. `requested` > 0 is taken as-is;
-/// 0 consults FRLFI_NUM_THREADS (read afresh on every call), then
+/// 0 consults FRLFI_NUM_THREADS (read afresh on every call; a value that
+/// is not a plain positive decimal in range is ignored), then
 /// hardware_concurrency(), floored at 1.
 std::size_t resolve_thread_count(std::size_t requested = 0);
 
 /// Contiguous static partition of [0, n) into `parts` ranges: part `part`
 /// gets [begin, end), the first n % parts parts taking one extra element.
-/// The same split parallel_for uses; exposed so batch sharding and tests
-/// can reproduce lane boundaries exactly.
+/// The same split parallel_for uses; exposed so lane-indexed bodies and
+/// tests can reproduce lane boundaries exactly.
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 
@@ -64,18 +64,8 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
 /// process-wide pool only while its pinned lane count still matches the
 /// resolved one (otherwise an explicit pool of the resolved size); N:
 /// an explicit pool of min(N, n) lanes. Never more lanes than n.
-///
-/// `min_per_lane` is the dispatch cost model (the same minimum-work-per-
-/// shard rule batch_shard_count applies to sharded forwards): lanes are
-/// additionally capped at n / min_per_lane so no lane carries fewer than
-/// min_per_lane items — BENCH_kernels.json showed that splits below the
-/// threshold lose more to dispatch than they gain from lanes. The lane
-/// partition never changes results (bodies must be partition-invariant),
-/// only how many threads share the work; min_per_lane == 1 is the
-/// historical split-on-width-alone behaviour.
 void dispatch_lanes(std::size_t threads, std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_per_lane = 1);
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Fixed-size thread pool executing blocking parallel_for dispatches.
 class ThreadPool {

@@ -298,6 +298,12 @@ FederatedRoundEngine::TrainingState FederatedRoundEngine::training_state()
 }
 
 void FederatedRoundEngine::restore_training_state(const TrainingState& state) {
+  // A wrong-length checkpoint would otherwise load cleanly and throw only
+  // at the first recovery, mid-training.
+  const std::size_t saved = state.checkpoints.saved.size();
+  FRLFI_CHECK_MSG(saved == 0 || saved == cfg_.parameter_dim,
+                  "checkpoint holds " << saved << " floats, parameter dim "
+                                      << cfg_.parameter_dim);
   episode_ = state.episode;
   server_fault_pending_ = state.server_fault_pending;
   if (server_) {

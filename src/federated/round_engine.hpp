@@ -213,7 +213,9 @@ class FederatedRoundEngine {
   /// Restore a captured training state. Mitigation state is applied only
   /// when both the snapshot carries it and mitigation is currently
   /// enabled; otherwise the machinery restarts fresh (the historical
-  /// behaviour, still what position-only restores get).
+  /// behaviour, still what position-only restores get). Throws Error,
+  /// before changing anything, unless the checkpoint is empty or holds
+  /// parameter_dim floats.
   void restore_training_state(const TrainingState& state);
 
   /// Reposition the training timeline after a position-only snapshot

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 
 namespace frlfi {
 
@@ -80,7 +81,7 @@ struct Trans1Strikes {
 std::vector<EpisodeStats> lockstep_episodes(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps,
-    const RangeAnomalyDetector* activation_detector, ThreadPool* pool,
+    const RangeAnomalyDetector* activation_detector,
     const Trans1Strikes* strikes, const QuantWeightView* base_qview) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
@@ -165,8 +166,7 @@ std::vector<EpisodeStats> lockstep_episodes(
             strikes->deployed.quant_view(&step_qoverlays.back()));
         lane_qviews[a] = &step_qviews.back();
       }
-      logits = policy.forward_batch_quant(batch, nb, *base_qview, pool,
-                                          lane_qviews);
+      logits = policy.forward_batch_quant(batch, nb, *base_qview, lane_qviews);
     } else if (striking > 0) {
       // Each striking lane draws its own corruption from its own stream
       // (exactly what the serial path consumes at this step) and rides a
@@ -185,11 +185,11 @@ std::vector<EpisodeStats> lockstep_episodes(
         step_views.push_back(strikes->deployed.view(&step_overlays.back()));
         lane_views[a] = &step_views.back();
       }
-      logits = policy.forward_batch(batch, nb, pool, lane_views);
+      logits = policy.forward_batch(batch, nb, lane_views);
     } else if (base_qview != nullptr) {
-      logits = policy.forward_batch_quant(batch, nb, *base_qview, pool);
+      logits = policy.forward_batch_quant(batch, nb, *base_qview);
     } else {
-      logits = policy.forward_batch(batch, nb, pool);
+      logits = policy.forward_batch(batch, nb);
     }
     const std::size_t width = logits.size() / nb;
     std::vector<std::size_t> still_active;
@@ -221,10 +221,10 @@ std::vector<EpisodeStats> lockstep_episodes(
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps,
-    const RangeAnomalyDetector* activation_detector, ThreadPool* pool,
+    const RangeAnomalyDetector* activation_detector,
     const QuantWeightView* qview) {
   return lockstep_episodes(policy, envs, rngs, max_steps, activation_detector,
-                           pool, nullptr, qview);
+                           nullptr, qview);
 }
 
 namespace {
@@ -284,8 +284,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
     const std::vector<Environment*>& envs, std::vector<Rng>& rngs,
-    std::size_t max_steps, ThreadPool* pool,
-    const std::vector<std::size_t>* base_hits) {
+    std::size_t max_steps, const std::vector<std::size_t>* base_hits) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
                   "batched trans1: " << lanes << " envs, " << rngs.size()
@@ -317,7 +316,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
   // The scenario's detector screens the strike overlays (weight scan,
   // inside trans1_strike_overlay); activation screening does not apply.
   return lockstep_episodes(policy, envs, rngs, max_steps,
-                           /*activation_detector=*/nullptr, pool, &strikes,
+                           /*activation_detector=*/nullptr, &strikes,
                            base_qview ? &*base_qview : nullptr);
 }
 
@@ -464,12 +463,10 @@ std::vector<double> run_batched_inference_campaign(
           spec.trans1 != nullptr
               ? greedy_episodes_trans1_batched(lane_policy, *deployed,
                                                *spec.trans1, lanes, rngs,
-                                               spec.max_steps,
-                                               /*pool=*/nullptr, &base_hits)
+                                               spec.max_steps, &base_hits)
               : greedy_episodes_batched(lane_policy, lanes, rngs,
                                         spec.max_steps,
                                         spec.activation_detector,
-                                        /*pool=*/nullptr,
                                         clean_qview ? &*clean_qview : nullptr);
       for (std::size_t a = 0; a < spec.agents; ++a)
         metrics[t * spec.agents + a] = metric(a, *lanes[a], stats[a]);

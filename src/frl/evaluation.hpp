@@ -10,7 +10,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/parallel.hpp"
 #include "fault/injector.hpp"
 #include "mitigation/range_detector.hpp"
 #include "nn/network.hpp"
@@ -56,11 +55,6 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
 /// activation hook carries the screen for the duration of the call and any
 /// caller-installed hook is restored afterwards.
 ///
-/// A non-null `pool` shards each decision step's forward_batch across the
-/// pool's lanes (Network::forward_batch's sharded path — bit-identical to
-/// the unsharded call for every thread count); safe even when the caller is
-/// itself a pool worker, where the nested dispatch runs inline.
-///
 /// A non-null `qview` moves every batched forward to the int8-native plane
 /// (Network::forward_batch_quant over the deployed image): lane i then
 /// matches greedy_episode_quant(policy, *envs[i], rngs[i], max_steps,
@@ -71,7 +65,7 @@ std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps,
     const RangeAnomalyDetector* activation_detector = nullptr,
-    ThreadPool* pool = nullptr, const QuantWeightView* qview = nullptr);
+    const QuantWeightView* qview = nullptr);
 
 /// Configuration for an inference fault campaign on a deployed policy.
 ///
@@ -178,7 +172,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
     const std::vector<Environment*>& envs, std::vector<Rng>& rngs,
-    std::size_t max_steps, ThreadPool* pool = nullptr,
+    std::size_t max_steps,
     const std::vector<std::size_t>* base_hits = nullptr);
 
 /// Corrupt `policy` in place per the scenario (static injection, performed

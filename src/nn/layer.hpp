@@ -53,11 +53,7 @@ struct WeightSource {
 
 /// Batch width at which the batch-inner layers switch from the per-sample
 /// gather kernels to the wide B-stride SIMD kernels (Conv2D's direct
-/// batch-inner convolution, Dense's ordered batched GEMM). Shared between
-/// the layers and Network's batch sharding: a sharded forward keeps every
-/// sub-batch on the same side of this threshold as the undivided batch, so
-/// each element's accumulation chain — and therefore every output bit — is
-/// unchanged by sharding.
+/// batch-inner convolution, Dense's ordered batched GEMM), shared by both.
 inline constexpr std::size_t kBatchInnerWideKernelMin = 8;
 
 /// A trainable tensor with its gradient accumulator.
@@ -105,8 +101,8 @@ class Layer {
   /// the int8 plane every width gives the same bits.
   ///
   /// Overrides must be reentrant and use per-thread scratch only
-  /// (thread_local, as Conv2D/Dense do): Network's sharded and per-lane
-  /// forwards call this concurrently on one layer object.
+  /// (thread_local, as Conv2D/Dense do): parallel campaign lanes share
+  /// one policy and call this concurrently on one layer object.
   virtual Tensor forward_batch_inner(Tensor input, std::size_t batch,
                                      WeightSource w) const = 0;
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "fault/overlay.hpp"
 
 namespace frlfi {
@@ -64,89 +63,6 @@ Tensor Network::forward(const Tensor& input, const WeightView* view) {
   return x;
 }
 
-std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
-  static_assert(kBatchShardMinPerShard % kBatchInnerWideKernelMin == 0,
-                "cost cap must subsume the wide-kernel bit-identity cap");
-  if (lanes <= 1) return 1;
-  const std::size_t max_shards = batch / kBatchShardMinPerShard;
-  return max_shards <= 1 ? 1 : std::min(lanes, max_shards);
-}
-
-namespace {
-
-// Row-range task engine of the batched forward (both planes): contiguous
-// runs of rows sharing one view pointer (empty lane_views: the whole
-// batch, effective view ViewPtr{}), each run split by the same
-// width-preserving shard planner. Each task takes a contiguous slice of
-// batch-major rows, transposes it to batch-inner, runs
-// `run_stack(x, nb, view)` — the layer loop on that view — on its
-// own tensors (per-task workspace; nothing below is shared but the
-// read-only weights/views and the hook), and transposes back. Task
-// outputs are stitched afterwards so no lane writes into a shared buffer.
-template <typename ViewPtr, typename RunStack>
-Tensor run_row_tasks(const Tensor& input, std::size_t batch,
-                     std::size_t lanes, ThreadPool* pool,
-                     std::span<const ViewPtr> lane_views,
-                     RunStack&& run_stack) {
-  struct RowTask {
-    std::size_t b0, b1;
-    ViewPtr view;
-  };
-  const bool grouped = !lane_views.empty();
-  std::vector<RowTask> tasks;
-  std::size_t run0 = 0;
-  for (std::size_t b = 1; b <= batch; ++b) {
-    if (b < batch && (!grouped || lane_views[b] == lane_views[run0])) continue;
-    const std::size_t run = b - run0;
-    const std::size_t shards = batch_shard_count(run, lanes);
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::size_t r0, r1;
-      shard_range(run, shards, s, r0, r1);
-      tasks.push_back(
-          {run0 + r0, run0 + r1, grouped ? lane_views[run0] : ViewPtr{}});
-    }
-    run0 = b;
-  }
-  const std::size_t sample = input.size() / batch;
-  const std::vector<std::size_t> sample_shape(input.shape().begin() + 1,
-                                              input.shape().end());
-  std::vector<Tensor> task_out(tasks.size());
-  const auto run_task = [&](std::size_t t_begin, std::size_t t_end) {
-    for (std::size_t t = t_begin; t < t_end; ++t) {
-      const RowTask& task = tasks[t];
-      const std::size_t nb = task.b1 - task.b0;
-      std::vector<std::size_t> sub_shape{nb};
-      sub_shape.insert(sub_shape.end(), sample_shape.begin(),
-                       sample_shape.end());
-      Tensor sub(std::move(sub_shape));
-      std::copy_n(
-          input.data().begin() + static_cast<std::ptrdiff_t>(task.b0 * sample),
-          nb * sample, sub.data().begin());
-      Tensor x = run_stack(batch_to_inner(sub, nb), nb, task.view);
-      task_out[t] = batch_to_major(x, nb);
-    }
-  };
-  if (pool != nullptr && tasks.size() > 1) {
-    pool->parallel_for(tasks.size(), run_task);
-  } else {
-    run_task(0, tasks.size());
-  }
-  std::vector<std::size_t> out_shape = task_out[0].shape();
-  out_shape[0] = batch;
-  const std::size_t out_sample = task_out[0].size() / task_out[0].dim(0);
-  Tensor out(std::move(out_shape));
-  std::size_t row = 0;
-  for (const Tensor& part : task_out) {
-    std::copy_n(part.data().begin(), part.size(),
-                out.data().begin() +
-                    static_cast<std::ptrdiff_t>(row * out_sample));
-    row += part.dim(0);
-  }
-  return out;
-}
-
-}  // namespace
-
 Tensor Network::forward_inner(Tensor x, std::size_t batch,
                               WeightSource plane) const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -167,7 +83,6 @@ Tensor Network::forward_one(const Tensor& input, WeightSource plane) const {
 
 template <typename View>
 Tensor Network::forward_rows(const Tensor& input, std::size_t batch,
-                             ThreadPool* pool,
                              std::span<const View* const> lane_views,
                              const View* shared) const {
   FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch on empty network");
@@ -185,27 +100,46 @@ Tensor Network::forward_rows(const Tensor& input, std::size_t batch,
       any_override = true;
     }
   }
-  const std::size_t lanes = pool ? pool->size() : 1;
-  if (!any_override && batch_shard_count(batch, lanes) <= 1) {
+  if (!any_override) {
     // One transpose into batch-innermost layout, the whole stack on the
     // fast batch-inner kernels, one transpose back.
     return batch_to_major(forward_inner(batch_to_inner(input, batch), batch,
                                         WeightSource(shared, 0)),
                           batch);
   }
-  return run_row_tasks(
-      input, batch, lanes, pool,
-      any_override ? lane_views : std::span<const View* const>{},
-      [&](Tensor x, std::size_t nb, const View* view) {
-        return forward_inner(std::move(x), nb,
-                             WeightSource(view != nullptr ? view : shared, 0));
-      });
+  // Each contiguous run of rows sharing one view goes through the stack as
+  // its own sub-batch; its rows land straight in the output.
+  const std::size_t sample = input.size() / batch;
+  std::vector<std::size_t> sub_shape = input.shape();
+  Tensor out;
+  std::size_t run0 = 0;
+  for (std::size_t b = 1; b <= batch; ++b) {
+    if (b < batch && lane_views[b] == lane_views[run0]) continue;
+    const std::size_t nb = b - run0;
+    sub_shape[0] = nb;
+    Tensor sub(sub_shape);
+    std::copy_n(
+        input.data().begin() + static_cast<std::ptrdiff_t>(run0 * sample),
+        nb * sample, sub.data().begin());
+    const View* view = lane_views[run0] != nullptr ? lane_views[run0] : shared;
+    const Tensor y = batch_to_major(
+        forward_inner(batch_to_inner(sub, nb), nb, WeightSource(view, 0)), nb);
+    if (out.empty()) {
+      std::vector<std::size_t> out_shape = y.shape();
+      out_shape[0] = batch;
+      out = Tensor(std::move(out_shape));
+    }
+    std::copy_n(y.data().begin(), y.size(),
+                out.data().begin() +
+                    static_cast<std::ptrdiff_t>(run0 * (y.size() / nb)));
+    run0 = b;
+  }
+  return out;
 }
 
 Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
-                              ThreadPool* pool,
                               std::span<const WeightView* const> lane_views) {
-  return forward_rows<WeightView>(input, batch, pool, lane_views, nullptr);
+  return forward_rows<WeightView>(input, batch, lane_views, nullptr);
 }
 
 Tensor Network::forward_quant(const Tensor& input,
@@ -217,8 +151,8 @@ Tensor Network::forward_quant(const Tensor& input,
 
 Tensor Network::forward_batch_quant(
     const Tensor& input, std::size_t batch, const QuantWeightView& qview,
-    ThreadPool* pool, std::span<const QuantWeightView* const> lane_views) {
-  return forward_rows<QuantWeightView>(input, batch, pool, lane_views, &qview);
+    std::span<const QuantWeightView* const> lane_views) {
+  return forward_rows<QuantWeightView>(input, batch, lane_views, &qview);
 }
 
 Tensor Network::backward(const Tensor& grad_output) {

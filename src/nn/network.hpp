@@ -17,7 +17,6 @@
 
 namespace frlfi {
 
-class ThreadPool;
 struct WeightView;       // fault/overlay.hpp (see layer.hpp)
 struct QuantWeightView;  // fault/overlay.hpp (see layer.hpp)
 
@@ -87,31 +86,16 @@ class Network {
   /// which elementwise consumers like the range screen scan in one pass
   /// over the whole batch. Backward caches are never touched.
   ///
-  /// With a non-null `pool`, the batch is sharded into contiguous
-  /// per-lane sub-batches and the full layer stack runs per shard across
-  /// the pool — bit-identical to the unsharded call for every thread
-  /// count, because the batch-inner kernels are width-independent and the
-  /// shard planner never moves a sub-batch across the wide-kernel
-  /// threshold (see kBatchInnerWideKernelMin and batch_shard_count). Each
-  /// lane owns its shard's tensors and scratch end to end; the activation
-  /// hook is then invoked once per (layer, shard), possibly concurrently,
-  /// with that shard's batch-inner activations — hooks must be
-  /// thread-safe under sharding (the range screen's elementwise suppressor
-  /// is). The const, reentrant layer entry makes the layers themselves
-  /// safe to share. Calling this from inside a pool job is safe: the
-  /// nested dispatch runs inline (see parallel.hpp).
-  ///
   /// `lane_views` (empty, or one entry per batch row) is the fault-overlay
   /// plane: row b reads its parameters through *lane_views[b] (null =
   /// the layer's own weights), so one batched forward serves N lanes with
   /// N different corrupted weight sets — batched Trans-1. Contiguous rows
-  /// sharing a view run as one sub-batch through the batch-inner stack
-  /// (sharded by the same width-preserving planner); each distinct-view
-  /// run computes exactly what forward_batch of those rows on a network
-  /// holding that view's effective weights would, under the layers' usual
-  /// batch-width equivalence contracts.
+  /// sharing a view run as one sub-batch through the batch-inner stack, in
+  /// row order, so the hook sees each run's activations separately; each
+  /// distinct-view run computes exactly what forward_batch of those rows
+  /// on a network holding that view's effective weights would, under the
+  /// layers' usual batch-width equivalence contracts.
   Tensor forward_batch(const Tensor& input, std::size_t batch,
-                       ThreadPool* pool = nullptr,
                        std::span<const WeightView* const> lane_views = {});
 
   /// Int8-native forward (InferenceMode::Int8), the width-1 case of
@@ -125,19 +109,18 @@ class Network {
   /// forward() with a view.
   Tensor forward_quant(const Tensor& input, const QuantWeightView& qview);
 
-  /// Batched int8-native forward: forward_batch's layout, sharding and
-  /// lane-view semantics on the quantized plane. `qview` is the shared
+  /// Batched int8-native forward: forward_batch's layout and lane-view
+  /// semantics on the quantized plane. `qview` is the shared
   /// base image every row reads; `lane_views` (empty, or one entry per
   /// row) overrides it per lane — row b reads *lane_views[b] when
   /// non-null, else `qview` — so one batched forward serves N quantized
   /// lanes with N different corrupted word sets (batched Trans-1 on the
   /// int8 plane). Unlike the float plane there is no width threshold in
   /// the numeric contract: per-sample activation scales and exact integer
-  /// accumulation make every batch width, shard split, and thread count
-  /// produce identical bits to forward_quant per row.
+  /// accumulation make every batch width and run split produce identical
+  /// bits to forward_quant per row.
   Tensor forward_batch_quant(
       const Tensor& input, std::size_t batch, const QuantWeightView& qview,
-      ThreadPool* pool = nullptr,
       std::span<const QuantWeightView* const> lane_views = {});
 
   /// Run backward from dLoss/dOutput; accumulates parameter gradients and
@@ -183,11 +166,12 @@ class Network {
   Tensor forward_inner(Tensor x, std::size_t batch, WeightSource plane) const;
 
   // The one body of forward_batch and forward_batch_quant: validation,
-  // the unsharded fast path, and the sharded / per-lane row tasks. Row b
-  // reads lane_views[b], or `shared` where that is null or absent.
+  // then the whole batch in one pass, or one pass per run of rows sharing
+  // a lane view. Row b reads lane_views[b], or `shared` where that is null
+  // or absent.
   template <typename View>
   Tensor forward_rows(const Tensor& input, std::size_t batch,
-                      ThreadPool* pool, std::span<const View* const> lane_views,
+                      std::span<const View* const> lane_views,
                       const View* shared) const;
 
   // forward_inner of one sample as a width-1 batch: (..., 1) has the
@@ -205,40 +189,5 @@ class Network {
   mutable std::vector<Parameter*> param_cache_;
   mutable bool param_cache_valid_ = false;
 };
-
-/// Minimum rows of work per shard before the planner will split a batch:
-/// the cost model distilled from the sharded_inference bench (see
-/// kShardNetLossBatch below). A shard narrower than this doesn't pay for
-/// its dispatch + transpose overhead, so batches under 2x this stay
-/// unsharded and wider batches split into at most batch / this shards.
-/// A multiple of kBatchInnerWideKernelMin, so the cost cap subsumes the
-/// wide-kernel bit-identity cap.
-inline constexpr std::size_t kBatchShardMinPerShard = 32;
-
-/// Sub-batch count a sharded Network::forward_batch uses for `batch`
-/// samples on `lanes` pool lanes. Two caps compose:
-///
-///  * **Bit identity.** No sub-batch crosses the layers' wide-kernel
-///    threshold relative to the undivided batch: every shard of a batch
-///    >= kBatchInnerWideKernelMin stays >= it (same wide kernels, whose
-///    per-element chains are width-independent) — so sharding can never
-///    change a bit.
-///  * **Cost model.** Every shard carries at least kBatchShardMinPerShard
-///    rows, so small batches (e.g. B=16 across 2 threads, a measured
-///    3.5x loss) are declined outright and mid-size batches split onto
-///    fewer lanes than the pool offers. Since the per-shard minimum is a
-///    multiple of the wide-kernel threshold, this cap subsumes the first.
-std::size_t batch_shard_count(std::size_t batch, std::size_t lanes);
-
-/// Measured shard-planner anchor: BENCH_kernels.json's sharded_inference
-/// section shows that sharding a B=16 drone-policy forward across 2
-/// threads is a net *loss* (oversubscription aside — the split itself
-/// doesn't pay for its dispatch at that width). The cost-model pass
-/// landed as kBatchShardMinPerShard: batch_shard_count now declines
-/// exactly these configurations (B <= kShardNetLossBatch never shards).
-/// These constants stay as the measured break-even anchor the model is
-/// calibrated against.
-inline constexpr std::size_t kShardNetLossBatch = 16;
-inline constexpr std::size_t kShardNetLossThreads = 2;
 
 }  // namespace frlfi

@@ -89,7 +89,7 @@ void quantize_activations(std::span<const float> xs, float scale,
 /// Per-sample activation scales over a batch-inner (features, B) block:
 /// scales[b] = activation_scale of column b. The per-sample granularity is
 /// what makes the batched quant forward bit-identical to the single-sample
-/// one at every batch width and shard split.
+/// one at every batch width and lane-view run split.
 void activation_scales_inner(const float* x, std::size_t features,
                              std::size_t batch, float* scales);
 
@@ -103,7 +103,7 @@ void quantize_activations_inner(const float* x, std::size_t features,
 /// product of the weight-image scale and the activation scale. Every
 /// quant forward dequantizes as
 ///   y = bias_f + float(acc) * output_scale(w_scale, x_scale)
-/// — single expression, pinned so single/batched/sharded paths agree
+/// — single expression, pinned so single/batched/lane-view paths agree
 /// bit-for-bit.
 inline float output_scale(float weight_scale, float act_scale) {
   return weight_scale * act_scale;

@@ -75,9 +75,9 @@ void gemm_bias_rows(const float* a, const float* b, const float* bias,
 /// gemm_bias_rows that always runs the ordered saxpy kernel, even below
 /// the narrow-n threshold where gemm_bias_rows would switch to the packed
 /// (reassociating) dot kernel. Used by Dense's batch-inner GEMM (n = B)
-/// so its per-element chain is reference-ordered at every width — the
-/// entry point any future batch-sharded caller must use, since results
-/// cannot depend on the width a shard happens to have.
+/// so its per-element chain is reference-ordered at every width: lane-view
+/// forwards split a batch into runs, and results cannot depend on the
+/// width a run happens to have.
 void gemm_bias_rows_ordered(const float* a, const float* b, const float* bias,
                             float* c, std::size_t m, std::size_t k,
                             std::size_t n);

@@ -2,9 +2,8 @@
 /// Equivalence lock for the non-mutating fault-overlay plane: overlay
 /// injection must be bit-identical to in-place inject + restore — at the
 /// weight level across representations and BERs, at the forward level
-/// through views (single-sample, batched, sharded over {1,2,7} threads),
-/// and at the trajectory level for batched Trans-1 vs the serial
-/// clone-and-mutate reference.
+/// through views (single-sample and batched), and at the trajectory level
+/// for batched Trans-1 vs the serial clone-and-mutate reference.
 
 #include "fault/overlay.hpp"
 
@@ -13,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "envs/gridworld.hpp"
 #include "fault/injector.hpp"
 #include "frl/evaluation.hpp"
@@ -184,8 +182,7 @@ TEST(WeightView, ForwardMatchesMutateRestoreConv) {
 
 TEST(WeightView, BatchedPerLaneViewsMatchPerLaneMutateForwards) {
   // One batched forward, every lane reading a *different* corrupted weight
-  // set, must equal the per-lane mutate-and-forward loop — for every
-  // sharding thread count.
+  // set, must equal the per-lane mutate-and-forward loop.
   Rng init(41);
   Network net = make_drone_policy(init);
   const std::vector<float> clean = net.flat_parameters();
@@ -227,16 +224,12 @@ TEST(WeightView, BatchedPerLaneViewsMatchPerLaneMutateForwards) {
     net.set_flat_parameters(clean);
   }
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{7}}) {
-    ThreadPool pool(threads);
-    const Tensor got = net.forward_batch(xb, lanes, &pool, lane_views);
-    const std::size_t width = got.size() / lanes;
-    for (std::size_t l = 0; l < lanes; ++l)
-      for (std::size_t j = 0; j < width; ++j)
-        EXPECT_EQ(got[l * width + j], want[l][j])
-            << "threads " << threads << " lane " << l << " elem " << j;
-  }
+  const Tensor got = net.forward_batch(xb, lanes, lane_views);
+  const std::size_t width = got.size() / lanes;
+  for (std::size_t l = 0; l < lanes; ++l)
+    for (std::size_t j = 0; j < width; ++j)
+      EXPECT_EQ(got[l * width + j], want[l][j])
+          << "lane " << l << " elem " << j;
   EXPECT_EQ(net.flat_parameters(), clean);
 }
 
@@ -280,8 +273,8 @@ TEST(WeightOverlay, DetectorSuppressionMatchesInPlaceScan) {
 TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
   // The acceptance lock: greedy_episodes_trans1_batched over per-lane
   // weight views reproduces the serial clone + WeightRestoreGuard loop
-  // bit-for-bit — same stats, same env end-states — for every sharding
-  // thread count, without ever touching the shared policy.
+  // bit-for-bit — same stats, same env end-states — without ever touching
+  // the shared policy.
   Rng init(71);
   Network policy = make_gridworld_policy(init);
   const std::vector<float> clean = policy.flat_parameters();
@@ -311,32 +304,25 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
           greedy_episode_trans1(lane_policy, env, rng, max_steps, scenario));
     }
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{7}}) {
-      ThreadPool pool(threads);
-      std::vector<std::unique_ptr<GridWorldEnv>> envs;
-      std::vector<Environment*> ptrs;
-      std::vector<Rng> rngs;
-      for (std::size_t i = 0; i < lanes; ++i) {
-        envs.push_back(
-            std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
-        ptrs.push_back(envs.back().get());
-        rngs.push_back(lane_rng(i));
-      }
-      const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
-          policy, deployed, scenario, ptrs, rngs, max_steps, &pool);
-      ASSERT_EQ(batched.size(), serial.size());
-      for (std::size_t i = 0; i < lanes; ++i) {
-        EXPECT_EQ(batched[i].steps, serial[i].steps)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-        EXPECT_EQ(batched[i].success, serial[i].success)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-        EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-      }
+    std::vector<std::unique_ptr<GridWorldEnv>> envs;
+    std::vector<Environment*> ptrs;
+    std::vector<Rng> rngs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      envs.push_back(
+          std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
+      ptrs.push_back(envs.back().get());
+      rngs.push_back(lane_rng(i));
+    }
+    const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
+        policy, deployed, scenario, ptrs, rngs, max_steps);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t i = 0; i < lanes; ++i) {
+      EXPECT_EQ(batched[i].steps, serial[i].steps)
+          << "detector " << with_detector << " lane " << i;
+      EXPECT_EQ(batched[i].success, serial[i].success)
+          << "detector " << with_detector << " lane " << i;
+      EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
+          << "detector " << with_detector << " lane " << i;
     }
   }
   EXPECT_EQ(policy.flat_parameters(), clean);

@@ -215,9 +215,9 @@ TEST(DroneFrl, InferenceFaultDegradesWithBer) {
 }
 
 TEST(DroneFrl, InferenceFaultEvalIsThreadCountInvariant) {
-  // Same bit-invariance as the gridworld system, on the conv policy: the
-  // shard planner keeps sub-batch kernel selection fixed and trials fan
-  // across lanes with private envs, so threads cannot move the metric.
+  // Same bit-invariance as the gridworld system, on the conv policy:
+  // trials fan across lanes with private envs over one serial batched
+  // forward each, so threads cannot move the metric.
   DroneFrlSystem sys(test_config(), kSeed);
   InferenceFaultScenario fault;
   fault.spec.model = FaultModel::TransientPersistent;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -116,6 +117,29 @@ TEST(Network, ActivationHookCanMutate) {
   EXPECT_TRUE(net.forward(Tensor({3}, 1.0f)).equals(clean));
 }
 
+TEST(Network, LaneViewRunsReachTheHookOncePerLayerInRowOrder) {
+  // Contiguous rows sharing a lane view run as one sub-batch, so the hook
+  // sees each run's batch-inner activations separately, runs in row order.
+  Rng rng(15);
+  Network net = small_net(rng);
+  const std::size_t batch = 5;
+  const DeployedWeights deployed =
+      DeployedWeights::int8_image(net.flat_parameters());
+  const WeightView view = deployed.view(nullptr);
+  const std::vector<const WeightView*> lanes{nullptr, nullptr, &view, &view,
+                                             nullptr};
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  net.set_activation_hook([&](std::size_t i, Tensor& act) {
+    calls.emplace_back(i, act.shape().back());
+  });
+  net.forward_batch(Tensor({batch, 3}, 0.5f), batch, lanes);
+  std::vector<std::pair<std::size_t, std::size_t>> want;
+  for (const std::size_t width : {2u, 2u, 1u})
+    for (std::size_t layer = 0; layer < net.layer_count(); ++layer)
+      want.emplace_back(layer, width);
+  EXPECT_EQ(calls, want);
+}
+
 TEST(Network, InferenceEntriesRejectMalformedViews) {
   Rng rng(14);
   Network net = small_net(rng);
@@ -136,8 +160,8 @@ TEST(Network, InferenceEntriesRejectMalformedViews) {
   EXPECT_NO_THROW(net.forward_quant(obs, qview));
   const std::vector<const WeightView*> lanes(batch, &view);
   const std::vector<const QuantWeightView*> qlanes(batch, &qview);
-  EXPECT_NO_THROW(net.forward_batch(xb, batch, nullptr, lanes));
-  EXPECT_NO_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qlanes));
+  EXPECT_NO_THROW(net.forward_batch(xb, batch, lanes));
+  EXPECT_NO_THROW(net.forward_batch_quant(xb, batch, qview, qlanes));
 
   // A view whose length is not parameter_count().
   EXPECT_THROW(net.forward(obs, &short_view), Error);
@@ -147,17 +171,15 @@ TEST(Network, InferenceEntriesRejectMalformedViews) {
   // lane_views of the wrong length.
   const std::vector<const WeightView*> few(batch - 1, &view);
   const std::vector<const QuantWeightView*> qfew(batch - 1, &qview);
-  EXPECT_THROW(net.forward_batch(xb, batch, nullptr, few), Error);
-  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qfew),
-               Error);
+  EXPECT_THROW(net.forward_batch(xb, batch, few), Error);
+  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, qfew), Error);
 
   // A wrong-size lane entry.
   const std::vector<const WeightView*> bad{&view, &short_view, nullptr};
   const std::vector<const QuantWeightView*> qbad{nullptr, &short_qview,
                                                  &qview};
-  EXPECT_THROW(net.forward_batch(xb, batch, nullptr, bad), Error);
-  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, nullptr, qbad),
-               Error);
+  EXPECT_THROW(net.forward_batch(xb, batch, bad), Error);
+  EXPECT_THROW(net.forward_batch_quant(xb, batch, qview, qbad), Error);
 }
 
 TEST(Network, SaveLoadParameters) {

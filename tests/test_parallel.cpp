@@ -104,14 +104,21 @@ TEST(Parallel, RejectsEmptyBody) {
 }
 
 TEST(Parallel, ResolveThreadCountPrecedence) {
+  unsetenv("FRLFI_NUM_THREADS");
+  const std::size_t hardware = resolve_thread_count(0);
+  EXPECT_GE(hardware, 1u);
   EXPECT_EQ(resolve_thread_count(3), 3u);
   setenv("FRLFI_NUM_THREADS", "5", 1);
   EXPECT_EQ(resolve_thread_count(0), 5u);
   EXPECT_EQ(resolve_thread_count(2), 2u);  // explicit beats env
-  setenv("FRLFI_NUM_THREADS", "not-a-number", 1);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // malformed env -> hardware
+  // Malformed env -> hardware. strtoul alone would wrap a sign ("-1") or
+  // saturate an overflow to ULONG_MAX, and a pool of that size throws.
+  for (const char* bad :
+       {"not-a-number", "-1", "+4", " 4", "99999999999999999999999"}) {
+    setenv("FRLFI_NUM_THREADS", bad, 1);
+    EXPECT_EQ(resolve_thread_count(0), hardware) << bad;
+  }
   unsetenv("FRLFI_NUM_THREADS");
-  EXPECT_GE(resolve_thread_count(0), 1u);
 }
 
 TEST(Parallel, GlobalPoolIsUsable) {
@@ -135,48 +142,6 @@ TEST(Parallel, ShardRangeIsContiguousPartition) {
         expect_begin = e;
       }
       EXPECT_EQ(expect_begin, n);
-    }
-  }
-}
-
-TEST(Parallel, DispatchLanesHonoursMinWorkPerLane) {
-  // The minimum-work-per-shard rule: with min_per_lane set, dispatch_lanes
-  // caps the lane count at n / min_per_lane so no lane receives less than
-  // the threshold's worth of work (same cost model as batch_shard_count).
-  const auto record_ranges = [](std::size_t threads, std::size_t n,
-                                std::size_t min_per_lane) {
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    dispatch_lanes(
-        threads, n,
-        [&](std::size_t b, std::size_t e) {
-          std::lock_guard<std::mutex> lk(mu);
-          ranges.emplace_back(b, e);
-        },
-        min_per_lane);
-    std::sort(ranges.begin(), ranges.end());
-    return ranges;
-  };
-
-  // Too little work for even two lanes: collapses to one inline range.
-  auto small = record_ranges(8, 16, 32);
-  ASSERT_EQ(small.size(), 1u);
-  EXPECT_EQ(small[0], (std::pair<std::size_t, std::size_t>{0, 16}));
-
-  // Exactly two lanes' worth: splits into two, not eight.
-  auto mid = record_ranges(8, 64, 32);
-  ASSERT_EQ(mid.size(), 2u);
-  for (const auto& [b, e] : mid) EXPECT_GE(e - b, 32u);
-
-  // Default min_per_lane = 1 keeps the historical lane count.
-  EXPECT_EQ(record_ranges(8, 64, 1).size(), 8u);
-
-  // Every variant still partitions [0, n).
-  for (const auto& ranges : {small, mid}) {
-    std::size_t next = 0;
-    for (const auto& [b, e] : ranges) {
-      EXPECT_EQ(b, next);
-      next = e;
     }
   }
 }

@@ -4,7 +4,9 @@
 
 #include <sys/resource.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 #include "frl/drone_system.hpp"
@@ -117,6 +119,45 @@ TEST(Persist, GridWorldRejectsAgentCountMismatch) {
   big.n_agents = 4;
   GridWorldFrlSystem other(big, 7);
   EXPECT_THROW(other.load(ss), Error);
+}
+
+TEST(Persist, GridWorldRejectsWrongLengthCheckpoint) {
+  GridWorldFrlSystem::Config cfg;
+  cfg.n_agents = 4;
+  MitigationPlan mit;
+  mit.enabled = true;
+  GridWorldFrlSystem sys(cfg, 9);
+  sys.set_mitigation(mit);
+  sys.train(40);
+  ASSERT_GT(sys.mitigation_stats().checkpoints_taken, 0u);
+  std::stringstream ss;
+  sys.save(ss);
+  const std::string good = ss.str();
+
+  // The stream ends with the checkpoint (u64 length + floats) and five u64
+  // counters. Shorten the checkpoint by one float, length field included,
+  // so the stream itself stays well formed.
+  const std::size_t dim = sys.agent_network(0).parameter_count();
+  const std::size_t tail = 5 * sizeof(std::uint64_t);
+  const std::size_t len_at =
+      good.size() - tail - dim * sizeof(float) - sizeof(std::uint64_t);
+  std::uint64_t len = 0;
+  std::memcpy(&len, good.data() + len_at, sizeof len);
+  ASSERT_EQ(len, dim);
+  --len;
+  std::string bad = good.substr(0, len_at);
+  bad.append(reinterpret_cast<const char*>(&len), sizeof len);
+  bad.append(good, len_at + sizeof len, (dim - 1) * sizeof(float));
+  bad.append(good, good.size() - tail, tail);
+
+  GridWorldFrlSystem intact(cfg, 9);
+  intact.set_mitigation(mit);
+  std::stringstream good_in(good);
+  EXPECT_NO_THROW(intact.load(good_in));
+  GridWorldFrlSystem other(cfg, 9);
+  other.set_mitigation(mit);
+  std::stringstream bad_in(bad);
+  EXPECT_THROW(other.load(bad_in), Error);
 }
 
 TEST(Persist, DroneSaveLoadRoundTrip) {

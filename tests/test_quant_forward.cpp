@@ -1,10 +1,10 @@
 /// \file test_quant_forward.cpp
 /// The int8-native inference plane, end to end:
 ///  * quant batched == quant single, BIT-identical, for every batch width,
-///    shard split and thread count, with and without per-lane word
-///    overlays, for both paper policies (per-sample activation scales +
-///    exact int32 accumulation leave this plane no width tolerance at all,
-///    conv policies included — unlike the float plane);
+///    with and without per-lane word overlays, for both paper policies
+///    (per-sample activation scales + exact int32 accumulation leave this
+///    plane no width tolerance at all, conv policies included — unlike the
+///    float plane);
 ///  * the quant forward tracks its float shadow (the same deployed image
 ///    read as dequantized floats) within the per-layer quantization
 ///    tolerance;
@@ -14,8 +14,8 @@
 ///  * QuantWeightView reads through a word overlay exactly as if the
 ///    overlay had been flipped into a materialized int8 image;
 ///  * the evaluation plane: serial greedy_episode_quant == batched lanes,
-///    serial Int8 Trans-1 == batched Int8 Trans-1 at every thread count,
-///    and an Int8 clean campaign is thread-count invariant.
+///    serial Int8 Trans-1 == batched Int8 Trans-1, and an Int8 clean
+///    campaign is thread-count invariant.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "envs/gridworld.hpp"
 #include "fault/overlay.hpp"
 #include "frl/evaluation.hpp"
@@ -36,7 +35,6 @@
 namespace frlfi {
 namespace {
 
-const std::size_t kThreadCounts[] = {1, 2, 7};
 const std::size_t kBatches[] = {1, 2, 3, 5, 8, 16};
 
 // Empirical quantization tolerance of a whole-network forward on the
@@ -71,7 +69,7 @@ std::uint32_t bits_of(float v) {
   return u;
 }
 
-// The exactness centerpiece: batched/sharded/overlaid quant forwards all
+// The exactness centerpiece: batched and overlaid quant forwards all
 // reproduce the single-sample quant forward bit-for-bit.
 void expect_quant_batched_matches_single(
     Network& policy, const std::vector<std::size_t>& sample_shape,
@@ -106,24 +104,13 @@ void expect_quant_batched_matches_single(
       views.push_back(deployed.quant_view(&overlays[b]));
       lanes[b] = &views.back();
     }
-    const Tensor overlaid = policy.forward_batch_quant(x, batch, qview,
-                                                       nullptr, lanes);
+    const Tensor overlaid = policy.forward_batch_quant(x, batch, qview, lanes);
     for (std::size_t b = 0; b < batch; ++b) {
       const Tensor y = policy.forward_quant(row_of(x, b, sample_shape),
                                             lanes[b] ? *lanes[b] : qview);
       for (std::size_t i = 0; i < width; ++i)
         ASSERT_EQ(bits_of(overlaid[b * width + i]), bits_of(y[i]))
             << what << " overlaid batch " << batch << " row " << b;
-    }
-
-    // Sharded across every thread count, with the overlays in place.
-    for (const std::size_t threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const Tensor sharded =
-          policy.forward_batch_quant(x, batch, qview, &pool, lanes);
-      for (std::size_t i = 0; i < overlaid.size(); ++i)
-        ASSERT_EQ(bits_of(sharded[i]), bits_of(overlaid[i]))
-            << what << " batch " << batch << " threads " << threads;
     }
   }
 }
@@ -288,8 +275,8 @@ TEST(QuantViewLock, OverlayReadsMatchMaterializedFlippedImage) {
 
 TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
   // Lockstep quant lanes == serial greedy_episode_quant per lane,
-  // bit-identical stats at every thread count (no width tolerance on this
-  // plane even though trajectories chain argmax decisions).
+  // bit-identical stats (no width tolerance on this plane even though
+  // trajectories chain argmax decisions).
   Rng init(51);
   Network policy = make_gridworld_policy(init);
   const DeployedWeights deployed =
@@ -305,33 +292,30 @@ TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
     Rng rng = Rng(55).derive_stream({i});
     serial.push_back(greedy_episode_quant(policy, env, rng, max_steps, qview));
   }
-  for (const std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    std::vector<std::unique_ptr<GridWorldEnv>> envs;
-    std::vector<Environment*> ptrs;
-    std::vector<Rng> rngs;
-    for (std::size_t i = 0; i < lanes; ++i) {
-      envs.push_back(
-          std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
-      ptrs.push_back(envs.back().get());
-      rngs.push_back(Rng(55).derive_stream({i}));
-    }
-    const std::vector<EpisodeStats> batched = greedy_episodes_batched(
-        policy, ptrs, rngs, max_steps, nullptr, &pool, &qview);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (std::size_t i = 0; i < lanes; ++i) {
-      EXPECT_EQ(batched[i].steps, serial[i].steps) << "lane " << i;
-      EXPECT_EQ(batched[i].success, serial[i].success) << "lane " << i;
-      EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
-          << "lane " << i;
-    }
+  std::vector<std::unique_ptr<GridWorldEnv>> envs;
+  std::vector<Environment*> ptrs;
+  std::vector<Rng> rngs;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    envs.push_back(
+        std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
+    ptrs.push_back(envs.back().get());
+    rngs.push_back(Rng(55).derive_stream({i}));
+  }
+  const std::vector<EpisodeStats> batched =
+      greedy_episodes_batched(policy, ptrs, rngs, max_steps, nullptr, &qview);
+  ASSERT_EQ(batched.size(), serial.size());
+  for (std::size_t i = 0; i < lanes; ++i) {
+    EXPECT_EQ(batched[i].steps, serial[i].steps) << "lane " << i;
+    EXPECT_EQ(batched[i].success, serial[i].success) << "lane " << i;
+    EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
+        << "lane " << i;
   }
 }
 
 TEST(QuantEvaluation, Trans1BatchedMatchesSerialInt8) {
   // Int8 Trans-1: the batched runner (per-lane word overlays through
   // forward_batch_quant) reproduces the serial Int8 greedy_episode_trans1
-  // bit-for-bit, detector screening included, at every thread count.
+  // bit-for-bit, detector screening included.
   Rng init(52);
   Network policy = make_gridworld_policy(init);
   RangeAnomalyDetector detector(policy, {.margin = 0.10});
@@ -353,27 +337,23 @@ TEST(QuantEvaluation, Trans1BatchedMatchesSerialInt8) {
     serial.push_back(
         greedy_episode_trans1(policy, env, rng, max_steps, scenario));
   }
-  for (const std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    std::vector<std::unique_ptr<GridWorldEnv>> envs;
-    std::vector<Environment*> ptrs;
-    std::vector<Rng> rngs;
-    for (std::size_t i = 0; i < lanes; ++i) {
-      envs.push_back(
-          std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
-      ptrs.push_back(envs.back().get());
-      rngs.push_back(Rng(66).derive_stream({i}));
-    }
-    const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
-        policy, deployed, scenario, ptrs, rngs, max_steps, &pool);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (std::size_t i = 0; i < lanes; ++i) {
-      EXPECT_EQ(batched[i].steps, serial[i].steps)
-          << "lane " << i << " threads " << threads;
-      EXPECT_EQ(batched[i].success, serial[i].success) << "lane " << i;
-      EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
-          << "lane " << i;
-    }
+  std::vector<std::unique_ptr<GridWorldEnv>> envs;
+  std::vector<Environment*> ptrs;
+  std::vector<Rng> rngs;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    envs.push_back(
+        std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
+    ptrs.push_back(envs.back().get());
+    rngs.push_back(Rng(66).derive_stream({i}));
+  }
+  const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
+      policy, deployed, scenario, ptrs, rngs, max_steps);
+  ASSERT_EQ(batched.size(), serial.size());
+  for (std::size_t i = 0; i < lanes; ++i) {
+    EXPECT_EQ(batched[i].steps, serial[i].steps) << "lane " << i;
+    EXPECT_EQ(batched[i].success, serial[i].success) << "lane " << i;
+    EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
+        << "lane " << i;
   }
 }
 
