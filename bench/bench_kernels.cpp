@@ -427,7 +427,7 @@ bool bench_trans1(double min_time, Report& report) {
         WeightRestoreGuard guard(lane);
         std::vector<float> flat = lane.flat_parameters();
         Rng strike = Rng(99).split(a);
-        inject_fixed_point(flat, format, spec, strike);
+        golden::inject_fixed_point_reference(flat, format, spec, strike);
         lane.set_flat_parameters(flat);
         clone_logits[a] = lane.forward(obs);
       }
@@ -837,22 +837,31 @@ bool bench_channel_reliability(double min_time, Report& report) {
                 report.channel_zero_retry_identical ? "YES" : "NO  <-- BUG");
   }
 
-  // Gate: the burst injector at length 1 == the single-bit golden
-  // injector (flips and RNG stream position).
+  // Gate: the byte kernel at burst length 1 == the single-bit golden
+  // injectors (flips and RNG stream position), transient and stuck-at.
   {
-    std::vector<std::uint8_t> golden(512);
+    std::vector<std::uint8_t> clean(512);
     Rng brng(47);
-    for (auto& v : golden)
+    for (auto& v : clean)
       v = static_cast<std::uint8_t>(brng.uniform_index(256));
-    std::vector<std::uint8_t> burst1 = golden;
-    FaultSpec spec;
-    spec.ber = 5e-3;
-    Rng rg(48), rb1(48);
-    const std::size_t ng = corrupt_bits(golden, spec, rg);
-    spec.burst.length = 1;
-    const std::size_t nb = corrupt_bits_burst(burst1, spec, rb1);
-    report.channel_burst1_identical =
-        golden == burst1 && ng == nb && rg.next_u64() == rb1.next_u64();
+    bool identical = true;
+    for (const FaultModel model : {FaultModel::TransientPersistent,
+                                   FaultModel::StuckAt0, FaultModel::StuckAt1}) {
+      std::vector<std::uint8_t> ref = clean, burst1 = clean;
+      FaultSpec spec;
+      spec.model = model;
+      spec.ber = 5e-3;
+      Rng rg(48), rb1(48);
+      const std::size_t ng =
+          model == FaultModel::TransientPersistent
+              ? golden::flip_bits_ber(ref, spec.ber, rg)
+              : golden::stick_bits_ber(ref, spec.ber,
+                                       model == FaultModel::StuckAt1, rg);
+      const std::size_t nb = corrupt_bits_burst(burst1, spec, rb1);
+      identical = identical && ref == burst1 && ng == nb &&
+                  rg.next_u64() == rb1.next_u64();
+    }
+    report.channel_burst1_identical = identical;
     std::printf("burst length-1 injector bit-identical to golden: %s\n",
                 report.channel_burst1_identical ? "YES" : "NO  <-- BUG");
   }

@@ -13,6 +13,7 @@
 #include "fault/injector.hpp"
 #include "federated/server.hpp"
 #include "frl/policies.hpp"
+#include "golden/golden.hpp"
 #include "mitigation/checkpoint.hpp"
 #include "mitigation/range_detector.hpp"
 #include "nn/conv2d.hpp"
@@ -126,20 +127,19 @@ void BM_InjectInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectInt8)->Arg(1540)->Arg(4131);
 
-// Before/after pair for the fixed-point injector micro-opt: the per-bit
-// flip_bit/branch loop vs the mask-based single-XOR flip. Same Bernoulli
-// stream, bit-identical outcomes (asserted in test_fault.cpp). Both sides
-// draw one Bernoulli per bit, so at low BER they are RNG-bound and tie;
-// the mask path's win shows at campaign-stress BERs (second arg is the
-// negated BER exponent: 3 -> 1e-3, 1 -> 1e-1). The shared codec-bound
-// hoist (no pow per encode) speeds both sides equally.
+// Reference vs library fixed-point injector: the frozen in-place per-bit
+// flip_bit loop (tests/golden) vs the DeployedWeights strike over the
+// fixed-word kernel. Same Bernoulli stream, bit-identical outcomes
+// (asserted in test_fault_overlay.cpp). Both sides draw one Bernoulli per
+// bit, so at low BER they are RNG-bound; the second arg is the negated
+// BER exponent: 3 -> 1e-3, 1 -> 1e-1.
 void BM_InjectFixedPointReference(benchmark::State& state) {
   std::vector<float> weights(static_cast<std::size_t>(state.range(0)), 0.5f);
   FaultSpec spec;
   spec.ber = std::pow(10.0, -static_cast<double>(state.range(1)));
   Rng rng(4);
   for (auto _ : state)
-    benchmark::DoNotOptimize(inject_fixed_point_reference(
+    benchmark::DoNotOptimize(golden::inject_fixed_point_reference(
         weights, FixedPointFormat::q1_7_8(), spec, rng));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

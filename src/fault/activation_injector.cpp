@@ -62,8 +62,10 @@ void ActivationFaultInjector::maybe_corrupt(std::size_t layer,
   for (std::size_t i = 0; i < data.size(); ++i) qs[i] = q.quantize(data[i]);
   auto bytes = std::span<std::uint8_t>(
       reinterpret_cast<std::uint8_t*>(qs.data()), qs.size());
-  const std::size_t flips =
-      flip_bits_ber(bytes, opts_.ber, rng_, opts_.direction);
+  FaultSpec transient;
+  transient.ber = opts_.ber;
+  transient.direction = opts_.direction;
+  const std::size_t flips = corrupt_bits_burst(bytes, transient, rng_);
   if (flips == 0) return;
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = q.dequantize(qs[i]);
 

@@ -1,15 +1,42 @@
 #include "fault/overlay.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
+#include <type_traits>
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
-#include "numeric/bitutil.hpp"
 #include "numeric/quantize.hpp"
 
 namespace frlfi {
+
+namespace {
+
+/// The one injection step behind every weight injector: copy the clean
+/// words, corrupt the copy with the word format's bit kernel, then hand
+/// each changed word to `record(index, word)` in ascending index order.
+template <class Word, class Record>
+InjectionReport strike_words(const std::vector<Word>& clean, int word_bits,
+                             const FaultSpec& spec, Rng& rng,
+                             Record&& record) {
+  InjectionReport report;
+  report.bits_total = clean.size() * static_cast<std::size_t>(word_bits);
+  std::vector<Word> words = clean;
+  if constexpr (std::is_same_v<Word, std::int8_t>) {
+    report.bits_flipped = corrupt_bits_burst(
+        std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(words.data()),
+                                words.size()),
+        spec, rng);
+  } else {
+    report.bits_flipped =
+        corrupt_fixed_words_burst(words, word_bits, spec, rng);
+  }
+  for (std::size_t i = 0; i < words.size(); ++i)
+    if (words[i] != clean[i]) record(i, words[i]);
+  return report;
+}
+
+}  // namespace
 
 void WeightOverlay::add(std::size_t index, float value) {
   FRLFI_CHECK_MSG(indices.empty() || index > indices.back(),
@@ -18,7 +45,7 @@ void WeightOverlay::add(std::size_t index, float value) {
   values.push_back(value);
 }
 
-void WeightOverlay::apply_to(std::vector<float>& weights) const {
+void WeightOverlay::apply_to(std::span<float> weights) const {
   for (std::size_t e = 0; e < indices.size(); ++e) {
     FRLFI_CHECK_MSG(indices[e] < weights.size(),
                     "overlay index " << indices[e] << " in " << weights.size());
@@ -108,24 +135,27 @@ WeightView::WeightBias WeightView::weight_bias(
           span(offset + weight_count, bias_count, bias_scratch)};
 }
 
-DeployedWeights DeployedWeights::int8_image(const std::vector<float>& weights,
+DeployedWeights DeployedWeights::int8_image(std::span<const float> weights,
                                             float headroom) {
   FRLFI_CHECK_MSG(headroom >= 1.0f, "headroom " << headroom);
   DeployedWeights d;
   d.repr_ = Repr::Int8;
   if (weights.empty()) return d;
-  // Exactly inject_int8's representation: calibrate on the clean weights,
-  // widen by headroom, quantize once.
-  const Int8Quantizer calibrated = Int8Quantizer::calibrate(weights);
-  d.int8_scale_ = calibrated.scale() * headroom;
+  // Calibrate on the clean weights, widen by headroom, quantize once.
+  d.int8_scale_ = Int8Quantizer::calibrate(weights).scale() * headroom;
   const Int8Quantizer q(d.int8_scale_);
-  d.int8_words_ = q.quantize(weights);
-  d.base_ = q.dequantize(d.int8_words_);
+  d.int8_words_.reserve(weights.size());
+  d.base_.reserve(weights.size());
+  for (const float w : weights) {
+    const std::int8_t word = q.quantize(w);
+    d.int8_words_.push_back(word);
+    d.base_.push_back(q.dequantize(word));
+  }
   return d;
 }
 
 DeployedWeights DeployedWeights::fixed_point_image(
-    const std::vector<float>& weights, const FixedPointFormat& format) {
+    std::span<const float> weights, const FixedPointFormat& format) {
   DeployedWeights d;
   d.repr_ = Repr::Fixed;
   d.format_ = format;
@@ -161,68 +191,25 @@ InjectionReport DeployedWeights::inject_quant(const FaultSpec& spec, Rng& rng,
                                               QuantOverlay& out) const {
   FRLFI_CHECK_MSG(repr_ == Repr::Int8, "inject_quant on a fixed-point image");
   out.clear();
-  InjectionReport report;
-  if (base_.empty()) return report;
-  // Byte-for-byte the stream inject() consumes on an int8 image: the same
-  // corrupt_bits dispatcher over a copy of the same clean words. Only the
-  // recording differs — the word itself, no dequantize.
-  std::vector<std::int8_t> words = int8_words_;
-  auto bytes = std::span<std::uint8_t>(
-      reinterpret_cast<std::uint8_t*>(words.data()), words.size());
-  report.bits_total = bit_count(bytes);
-  report.bits_flipped = corrupt_bits(bytes, spec, rng);
-  for (std::size_t i = 0; i < words.size(); ++i)
-    if (words[i] != int8_words_[i]) out.add(i, words[i]);
-  return report;
+  return strike_words(int8_words_, 8, spec, rng,
+                      [&](std::size_t i, std::int8_t w) { out.add(i, w); });
 }
 
 InjectionReport DeployedWeights::inject(const FaultSpec& spec, Rng& rng,
                                         WeightOverlay& out) const {
   out.clear();
-  InjectionReport report;
-  if (base_.empty()) return report;
   if (repr_ == Repr::Int8) {
-    // Same byte stream as inject_int8: corrupt a copy of the clean words
-    // with the shared temporal-model dispatcher, then record the words
-    // that changed.
-    std::vector<std::int8_t> words = int8_words_;
-    auto bytes = std::span<std::uint8_t>(
-        reinterpret_cast<std::uint8_t*>(words.data()), words.size());
-    report.bits_total = bit_count(bytes);
-    report.bits_flipped = corrupt_bits(bytes, spec, rng);
     const Int8Quantizer q(int8_scale_);
-    for (std::size_t i = 0; i < words.size(); ++i)
-      if (words[i] != int8_words_[i]) out.add(i, q.dequantize(words[i]));
-    return report;
+    return strike_words(int8_words_, 8, spec, rng,
+                        [&](std::size_t i, std::int8_t w) {
+                          out.add(i, q.dequantize(w));
+                        });
   }
-  // Fixed point: the same per-word flip-mask generator as
-  // inject_fixed_point, over the precomputed clean encodes — one Bernoulli
-  // per bit in the identical order, so the stream (and therefore every
-  // flip site) matches.
   const FixedPointCodec codec(format_);
-  const int word_bits = format_.word_bits();
-  report.bits_total = base_.size() * static_cast<std::size_t>(word_bits);
-  if (spec.burst.length > 1) {
-    // Correlated-burst plane: a burst spans words, so corrupt a live copy
-    // of the whole clean encode (the same word-major event stream as
-    // inject_fixed_point's burst branch) and record the words that moved
-    // — still ascending, so the overlay contract holds.
-    std::vector<std::uint32_t> words = fixed_words_;
-    report.bits_flipped = corrupt_fixed_words_burst(words, word_bits, spec, rng);
-    for (std::size_t i = 0; i < words.size(); ++i)
-      if (words[i] != fixed_words_[i])
-        out.add(i, static_cast<float>(codec.decode(words[i])));
-    return report;
-  }
-  const FixedPointFlipper flipper(spec, word_bits);
-  for (std::size_t i = 0; i < fixed_words_.size(); ++i) {
-    const std::uint32_t raw = fixed_words_[i];
-    const std::uint32_t mask = flipper.flip_mask(raw, rng);
-    if (!mask) continue;
-    report.bits_flipped += static_cast<std::size_t>(std::popcount(mask));
-    out.add(i, static_cast<float>(codec.decode(raw ^ mask)));
-  }
-  return report;
+  return strike_words(fixed_words_, format_.word_bits(), spec, rng,
+                      [&](std::size_t i, std::uint32_t w) {
+                        out.add(i, static_cast<float>(codec.decode(w)));
+                      });
 }
 
 }  // namespace frlfi

@@ -3,21 +3,19 @@
 /// \file overlay.hpp
 /// The non-mutating fault-overlay plane.
 ///
-/// The in-place injectors (injector.hpp) rewrite a network's float weights
-/// through a deployed integer representation; every parallel evaluation
-/// lane that wants its *own* corruption therefore needs its own copy of
-/// the whole policy. The overlay plane splits one injection into the two
-/// parts that actually differ between lanes:
+/// Writing a fault into a network's float weights would force every
+/// parallel evaluation lane that wants its *own* corruption to hold its own
+/// copy of the whole policy. The overlay plane splits one injection into
+/// the two parts that actually differ between lanes:
 ///
 ///  * DeployedWeights — the quantize→dequantize round-trip of the *clean*
 ///    parameters. Deterministic (no RNG), so it is computed once per
 ///    policy and shared read-only by every lane.
 ///  * WeightOverlay — the sparse set of parameters whose deployed words a
 ///    particular fault actually flipped (flat parameter index → corrupted
-///    float). Per lane, tiny, and produced by consuming the *same* RNG
-///    stream as the in-place injector, so
-///        effective(i) = overlay(i) if present else base(i)
-///    is bit-for-bit the vector the in-place path would have written.
+///    float). Per lane and tiny; the effective weights are
+///        effective(i) = overlay(i) if present else base(i),
+///    which is exactly what the in-place injectors of injector.hpp write.
 ///
 /// A WeightView bundles base + overlay for the forward plane: Network and
 /// the parameterized layers accept an optional view and read effective
@@ -31,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -68,9 +67,9 @@ struct WeightOverlay {
   /// front to back).
   void add(std::size_t index, float value);
 
-  /// Write every entry into `weights` (weights[index] = value) — the
-  /// materialization used by equivalence tests and the detector scan.
-  void apply_to(std::vector<float>& weights) const;
+  /// Write every entry into `weights` (weights[index] = value) — how an
+  /// in-place injector materializes a strike over the deployed base.
+  void apply_to(std::span<float> weights) const;
 };
 
 /// Read-only effective-parameter view: a full flat base vector plus an
@@ -159,17 +158,19 @@ struct QuantWeightView {
 
 /// The deployed-domain image of one clean parameter vector: the integer
 /// words the fault model acts on and the dequantized base every lane
-/// shares. Immutable after construction; inject() is const and
-/// thread-safe, so concurrent lanes can strike the same image at once.
+/// shares. The only weight injector: the in-place injectors of
+/// injector.hpp write a strike's base()+overlay back. Immutable after
+/// construction; inject() is const and thread-safe, so concurrent lanes
+/// can strike the same image at once.
 class DeployedWeights {
  public:
-  /// Int8 deployment (inject_int8's representation): calibrate on
-  /// `weights`, widen the scale by `headroom`, quantize.
-  static DeployedWeights int8_image(const std::vector<float>& weights,
+  /// Int8 deployment: calibrate on `weights`, widen the scale by
+  /// `headroom`, quantize.
+  static DeployedWeights int8_image(std::span<const float> weights,
                                     float headroom = 1.0f);
 
-  /// Fixed-point deployment (inject_fixed_point's representation).
-  static DeployedWeights fixed_point_image(const std::vector<float>& weights,
+  /// Fixed-point deployment: encode every weight in `format`.
+  static DeployedWeights fixed_point_image(std::span<const float> weights,
                                            const FixedPointFormat& format);
 
   /// The dequantized clean parameters — what every untouched weight reads
@@ -200,20 +201,20 @@ class DeployedWeights {
   QuantWeightView quant_view(const QuantOverlay* overlay) const;
 
   /// Run one fault through the deployed words, recording the corrupted
-  /// parameters into `out` (cleared first). Consumes `rng` exactly as the
-  /// matching in-place injector (inject_int8 / inject_fixed_point) does
-  /// on the same clean weights, so base()+out is bit-identical to the
-  /// vector the in-place path would have produced — the property
-  /// tests/test_fault_overlay.cpp locks.
+  /// parameters into `out` (cleared first): copy the clean words, corrupt
+  /// the copy with the format's bit kernel (corrupt_bits_burst /
+  /// corrupt_fixed_words_burst), record the words that changed. base()+out
+  /// is bit-identical to the frozen in-place injectors of tests/golden —
+  /// the property tests/test_fault_overlay.cpp locks. Throws frlfi::Error
+  /// on a BER outside [0, 1] (NaN included) or burst length 0.
   InjectionReport inject(const FaultSpec& spec, Rng& rng,
                          WeightOverlay& out) const;
 
-  /// Word-level twin of inject() for int8 images: the identical fault
-  /// (same corrupt_bits stream, so the same RNG consumption and the same
-  /// flip sites as inject() on the same spec and rng state), recorded as
-  /// corrupted *words* instead of dequantized floats. Dequantizing every
-  /// entry of `out` with int8_scale() reproduces inject()'s WeightOverlay
-  /// exactly — the lock tests/test_quant_forward.cpp pins.
+  /// Word-level twin of inject() for int8 images: the identical strike
+  /// (same RNG consumption, same flip sites), recorded as corrupted
+  /// *words* instead of dequantized floats. Dequantizing every entry of
+  /// `out` with int8_scale() reproduces inject()'s WeightOverlay exactly —
+  /// the lock tests/test_quant_forward.cpp pins.
   InjectionReport inject_quant(const FaultSpec& spec, Rng& rng,
                                QuantOverlay& out) const;
 

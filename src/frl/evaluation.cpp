@@ -227,28 +227,6 @@ std::vector<EpisodeStats> greedy_episodes_batched(
                            nullptr, qview);
 }
 
-namespace {
-
-/// Corrupt a policy's weights per the scenario's deployment representation.
-InjectionReport corrupt_policy(Network& policy,
-                               const InferenceFaultScenario& scenario,
-                               Rng& rng) {
-  if (scenario.use_int8) {
-    std::vector<float> flat = policy.flat_parameters();
-    const InjectionReport report =
-        inject_int8(flat, scenario.spec, rng, scenario.int8_headroom);
-    policy.set_flat_parameters(flat);
-    return report;
-  }
-  std::vector<float> flat = policy.flat_parameters();
-  const InjectionReport report =
-      inject_fixed_point(flat, scenario.fixed_format, scenario.spec, rng);
-  policy.set_flat_parameters(flat);
-  return report;
-}
-
-}  // namespace
-
 DeployedWeights make_deployed_weights(const Network& policy,
                                       const InferenceFaultScenario& scenario) {
   const std::vector<float> flat = policy.flat_parameters();
@@ -371,8 +349,7 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
     std::size_t action;
     if (t == fault_step) {
       WeightRestoreGuard guard(policy);  // restores after the single read
-      corrupt_policy(policy, scenario, rng);
-      if (scenario.detector) scenario.detector->scan_and_suppress(policy);
+      apply_static_inference_fault(policy, scenario, rng);
       action = policy.forward(obs).argmax();
     } else {
       action = policy.forward(obs).argmax();
@@ -392,8 +369,13 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
 
 InjectionReport apply_static_inference_fault(
     Network& policy, const InferenceFaultScenario& scenario, Rng& rng) {
-  const InjectionReport report = corrupt_policy(policy, scenario, rng);
-  if (scenario.detector) scenario.detector->scan_and_suppress(policy);
+  const DeployedWeights deployed = make_deployed_weights(policy, scenario);
+  WeightOverlay overlay;
+  const InjectionReport report =
+      trans1_strike_overlay(deployed, scenario, rng, overlay);
+  std::vector<float> flat = deployed.base();
+  overlay.apply_to(flat);
+  policy.set_flat_parameters(flat);
   return report;
 }
 

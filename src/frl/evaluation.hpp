@@ -105,11 +105,12 @@ struct InferenceFaultScenario {
 };
 
 /// Run one greedy episode with a Trans-1 fault: at one uniformly chosen
-/// step the weights are corrupted (per the scenario's representation and
-/// BER) for that single action read — with the range detector, when
-/// configured, screening that read — then restored. This is the serial
-/// clone-and-mutate reference; the batched runner below reproduces it
-/// bit-for-bit through per-lane weight views without ever mutating.
+/// step the weights are corrupted (apply_static_inference_fault: per the
+/// scenario's representation and BER, with the range detector, when
+/// configured, screening that read) for that single action read, then
+/// restored by a WeightRestoreGuard. This is the serial mutate-and-restore
+/// runner; the batched runner below reproduces it bit-for-bit through
+/// per-lane weight views without ever mutating.
 EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
                                    std::size_t max_steps,
                                    const InferenceFaultScenario& scenario);
@@ -121,12 +122,10 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
 DeployedWeights make_deployed_weights(const Network& policy,
                                       const InferenceFaultScenario& scenario);
 
-/// Compute one Trans-1 strike as a sparse overlay against `deployed`,
-/// consuming `rng` exactly as the in-place corrupt+repair sequence in
-/// greedy_episode_trans1 does — injection through the deployed words, then
-/// the scenario's range detector (when configured) folding zero-repairs
-/// into the overlay. deployed.base() + out is bit-identical to the weights
-/// the in-place path would have executed with. `base_hits`
+/// Compute one strike as a sparse overlay against `deployed` — injection
+/// through the deployed words, then the scenario's range detector (when
+/// configured) folding zero-repairs into the overlay. deployed.base() + out
+/// is what apply_static_inference_fault writes into the policy. `base_hits`
 /// (RangeAnomalyDetector::base_out_of_range of deployed.base()) lets a
 /// campaign pay the detector's full base scan once instead of per strike.
 InjectionReport trans1_strike_overlay(
@@ -177,7 +176,8 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
 
 /// Corrupt `policy` in place per the scenario (static injection, performed
 /// before inference execution begins) and, if configured, repair it with
-/// the range detector. Returns the injection report.
+/// the range detector: make_deployed_weights + trans1_strike_overlay,
+/// materialized back into the policy. Returns the injection report.
 InjectionReport apply_static_inference_fault(Network& policy,
                                              const InferenceFaultScenario& scenario,
                                              Rng& rng);

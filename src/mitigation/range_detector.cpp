@@ -60,147 +60,96 @@ std::size_t RangeAnomalyDetector::scan(Network& net) const {
   return for_each_out_of_range(net, [](float&) {});
 }
 
-std::size_t RangeAnomalyDetector::scan_and_suppress(
-    std::span<const float> base, WeightOverlay& overlay,
+namespace {
+
+/// Effective float value of overlay entry e (int8 words dequantize with
+/// the image scale) and the entry's recorded payload.
+float effective(const WeightOverlay& o, std::size_t e, float) {
+  return o.values[e];
+}
+float effective(const QuantOverlay& o, std::size_t e, float scale) {
+  return static_cast<float>(o.words[e]) * scale;
+}
+float payload(const WeightOverlay& o, std::size_t e) { return o.values[e]; }
+std::int8_t payload(const QuantOverlay& o, std::size_t e) { return o.words[e]; }
+
+}  // namespace
+
+template <class Overlay>
+std::size_t RangeAnomalyDetector::screen_overlay(
+    std::span<const float> base, float scale, Overlay& overlay,
     const std::vector<std::size_t>* base_hits) const {
-  std::size_t total = 0;
-  for (const std::size_t s : sizes_) total += s;
-  FRLFI_CHECK_MSG(base.size() == total, "flat size " << base.size() << " vs "
-                                                     << total
-                                                     << " calibrated scalars");
-  WeightOverlay merged;
-  std::size_t hits = 0;
+  std::vector<std::size_t> local_hits;
   if (base_hits == nullptr) {
-    // Merge-walk the whole flat space against the sorted overlay,
-    // rebuilding it with suppressions folded in. The same index set
-    // scan_and_suppress(net) zeroes: every effective value outside its
-    // tensor's range (NaNs compare false on both sides there too, so both
-    // paths keep them).
-    std::size_t e = 0, i = 0;
-    for (std::size_t t = 0; t < sizes_.size(); ++t) {
-      const Range r = ranges_[t];
-      for (const std::size_t end = i + sizes_[t]; i < end; ++i) {
-        const bool overlaid = e < overlay.size() && overlay.indices[e] == i;
-        const float v = overlaid ? overlay.values[e] : base[i];
-        if (overlaid) ++e;
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0.0f);
-          ++hits;
-        } else if (overlaid) {
-          merged.add(i, v);
-        }
-      }
-    }
+    local_hits = base_out_of_range(base);
+    base_hits = &local_hits;
   } else {
-    // Fast path: base indices outside the overlay can only be hits where
-    // the precomputed list says so; only overlay entries need a range
-    // check. Merge the two ascending sequences.
-    std::size_t tensor = 0, tensor_end = sizes_.empty() ? 0 : sizes_[0];
-    const auto range_for = [&](std::size_t i) {
-      while (i >= tensor_end) tensor_end += sizes_[++tensor];
-      return ranges_[tensor];
-    };
-    std::size_t e = 0, h = 0;
-    while (e < overlay.size() || h < base_hits->size()) {
-      const bool take_overlay =
-          e < overlay.size() && (h >= base_hits->size() ||
-                                 overlay.indices[e] <= (*base_hits)[h]);
-      if (take_overlay) {
-        const std::size_t i = overlay.indices[e];
-        if (h < base_hits->size() && (*base_hits)[h] == i) ++h;  // superseded
-        const float v = overlay.values[e];
-        const Range r = range_for(i);
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0.0f);
-          ++hits;
-        } else {
-          merged.add(i, v);
-        }
-        ++e;
-      } else {
-        merged.add((*base_hits)[h], 0.0f);
-        ++hits;
-        ++h;
-      }
+    check_flat_size(base.size());
+  }
+  // Base indices outside the overlay can only be hits where the base list
+  // says so; only overlay entries need a range check. Merge the two
+  // ascending sequences, suppressions recorded as a zero payload (word 0
+  // dequantizes to exactly 0.0f). NaNs compare false on both sides, so
+  // they stay — as scan_and_suppress(net) keeps them.
+  const std::vector<std::size_t>& hits_in = *base_hits;
+  std::size_t tensor = 0, tensor_end = sizes_.empty() ? 0 : sizes_[0];
+  const auto range_for = [&](std::size_t i) {
+    while (i >= tensor_end) {
+      FRLFI_CHECK_MSG(tensor + 1 < sizes_.size(),
+                      "overlay index " << i << " past the calibrated scalars");
+      tensor_end += sizes_[++tensor];
     }
+    return ranges_[tensor];
+  };
+  Overlay merged;
+  std::size_t hits = 0, e = 0, h = 0;
+  while (e < overlay.size() || h < hits_in.size()) {
+    const bool take_overlay =
+        e < overlay.size() &&
+        (h >= hits_in.size() || overlay.indices[e] <= hits_in[h]);
+    if (!take_overlay) {
+      merged.add(hits_in[h++], {});
+      ++hits;
+      continue;
+    }
+    const std::size_t i = overlay.indices[e];
+    if (h < hits_in.size() && hits_in[h] == i) ++h;  // superseded
+    const float v = effective(overlay, e, scale);
+    const Range r = range_for(i);
+    if (v < r.lo || v > r.hi) {
+      merged.add(i, {});
+      ++hits;
+    } else {
+      merged.add(i, payload(overlay, e));
+    }
+    ++e;
   }
   overlay = std::move(merged);
   return hits;
+}
+
+std::size_t RangeAnomalyDetector::scan_and_suppress(
+    std::span<const float> base, WeightOverlay& overlay,
+    const std::vector<std::size_t>* base_hits) const {
+  return screen_overlay(base, 1.0f, overlay, base_hits);
 }
 
 std::size_t RangeAnomalyDetector::scan_and_suppress(
     std::span<const float> base, float scale, QuantOverlay& overlay,
     const std::vector<std::size_t>* base_hits) const {
+  return screen_overlay(base, scale, overlay, base_hits);
+}
+
+void RangeAnomalyDetector::check_flat_size(std::size_t n) const {
   std::size_t total = 0;
   for (const std::size_t s : sizes_) total += s;
-  FRLFI_CHECK_MSG(base.size() == total, "flat size " << base.size() << " vs "
-                                                     << total
-                                                     << " calibrated scalars");
-  // Mirror of the float-overlay scan above, with overlay entries
-  // dequantized on the fly and suppressions recorded as word 0 (the exact
-  // quant encoding of 0.0f). Both branches visit the same index set the
-  // float scan would over the equivalent float overlay.
-  QuantOverlay merged;
-  std::size_t hits = 0;
-  if (base_hits == nullptr) {
-    std::size_t e = 0, i = 0;
-    for (std::size_t t = 0; t < sizes_.size(); ++t) {
-      const Range r = ranges_[t];
-      for (const std::size_t end = i + sizes_[t]; i < end; ++i) {
-        const bool overlaid = e < overlay.size() && overlay.indices[e] == i;
-        const std::int8_t q = overlaid ? overlay.words[e] : 0;
-        const float v = overlaid ? static_cast<float>(q) * scale : base[i];
-        if (overlaid) ++e;
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0);
-          ++hits;
-        } else if (overlaid) {
-          merged.add(i, q);
-        }
-      }
-    }
-  } else {
-    std::size_t tensor = 0, tensor_end = sizes_.empty() ? 0 : sizes_[0];
-    const auto range_for = [&](std::size_t i) {
-      while (i >= tensor_end) tensor_end += sizes_[++tensor];
-      return ranges_[tensor];
-    };
-    std::size_t e = 0, h = 0;
-    while (e < overlay.size() || h < base_hits->size()) {
-      const bool take_overlay =
-          e < overlay.size() && (h >= base_hits->size() ||
-                                 overlay.indices[e] <= (*base_hits)[h]);
-      if (take_overlay) {
-        const std::size_t i = overlay.indices[e];
-        if (h < base_hits->size() && (*base_hits)[h] == i) ++h;  // superseded
-        const std::int8_t q = overlay.words[e];
-        const float v = static_cast<float>(q) * scale;
-        const Range r = range_for(i);
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0);
-          ++hits;
-        } else {
-          merged.add(i, q);
-        }
-        ++e;
-      } else {
-        merged.add((*base_hits)[h], 0);
-        ++hits;
-        ++h;
-      }
-    }
-  }
-  overlay = std::move(merged);
-  return hits;
+  FRLFI_CHECK_MSG(n == total,
+                  "flat size " << n << " vs " << total << " calibrated scalars");
 }
 
 std::vector<std::size_t> RangeAnomalyDetector::base_out_of_range(
     std::span<const float> base) const {
-  std::size_t total = 0;
-  for (const std::size_t s : sizes_) total += s;
-  FRLFI_CHECK_MSG(base.size() == total, "flat size " << base.size() << " vs "
-                                                     << total
-                                                     << " calibrated scalars");
+  check_flat_size(base.size());
   std::vector<std::size_t> hits;
   std::size_t i = 0;
   for (std::size_t t = 0; t < sizes_.size(); ++t) {

@@ -54,10 +54,10 @@ class RangeAnomalyDetector {
   /// stays untouched, so concurrent lanes can screen their own overlays
   /// against one shared deployed base.
   ///
-  /// With `base_hits` (the result of base_out_of_range on the same base),
-  /// the O(params) base walk is skipped: the scan merges the precomputed
-  /// hit list with the sparse overlay, so a campaign paying the base scan
-  /// once screens each strike in O(overlay entries) — identical output.
+  /// The screen merges base_out_of_range(base) with the sparse overlay;
+  /// passing that list as `base_hits` skips its O(params) base walk, so a
+  /// campaign paying the base scan once screens each strike in O(overlay
+  /// entries) — identical output.
   std::size_t scan_and_suppress(
       std::span<const float> base, WeightOverlay& overlay,
       const std::vector<std::size_t>* base_hits = nullptr) const;
@@ -115,6 +115,13 @@ class RangeAnomalyDetector {
   };
   template <typename Fn>
   std::size_t for_each_out_of_range(Network& net, Fn&& fn) const;
+  /// The one overlay screen behind both scan_and_suppress overlay forms.
+  template <class Overlay>
+  std::size_t screen_overlay(std::span<const float> base, float scale,
+                             Overlay& overlay,
+                             const std::vector<std::size_t>* base_hits) const;
+  /// Throws unless `n` equals the calibrated scalar count.
+  void check_flat_size(std::size_t n) const;
 
   std::vector<Range> ranges_;
   std::vector<std::size_t> sizes_;  // scalars per calibrated tensor

@@ -1,7 +1,9 @@
 #include "golden/golden.hpp"
 
 #include "core/error.hpp"
+#include "fault/injector.hpp"
 #include "federated/aggregation.hpp"
+#include "numeric/bitutil.hpp"
 #include "numeric/quantize.hpp"
 
 namespace frlfi::golden {
@@ -85,6 +87,114 @@ std::vector<std::vector<float>> frozen_scalar_round(
   down.reserve(agg.size());
   for (const auto& p : agg) down.push_back(channel.transmit(p, rng));
   return down;
+}
+
+std::size_t flip_bits_ber(std::span<std::uint8_t> bytes, double ber, Rng& rng,
+                          FlipDirection direction) {
+  FRLFI_CHECK_MSG(ber >= 0.0 && ber <= 1.0, "BER " << ber);
+  if (ber == 0.0 || bytes.empty()) return 0;
+  std::size_t flipped = 0;
+  const std::size_t nbits = bit_count(bytes);
+  for (std::size_t i = 0; i < nbits; ++i) {
+    if (!rng.bernoulli(ber)) continue;
+    const bool current = get_bit(bytes, i);
+    if (direction == FlipDirection::ZeroToOne && current) continue;
+    if (direction == FlipDirection::OneToZero && !current) continue;
+    flip_bit(bytes, i);
+    ++flipped;
+  }
+  return flipped;
+}
+
+std::size_t stick_bits_ber(std::span<std::uint8_t> bytes, double ber,
+                           bool value, Rng& rng) {
+  FRLFI_CHECK_MSG(ber >= 0.0 && ber <= 1.0, "BER " << ber);
+  if (ber == 0.0 || bytes.empty()) return 0;
+  std::size_t changed = 0;
+  const std::size_t nbits = bit_count(bytes);
+  for (std::size_t i = 0; i < nbits; ++i) {
+    if (!rng.bernoulli(ber)) continue;
+    if (get_bit(bytes, i) != value) {
+      set_bit(bytes, i, value);
+      ++changed;
+    }
+  }
+  return changed;
+}
+
+InjectionReport inject_int8(std::span<float> weights, const FaultSpec& spec,
+                            Rng& rng, float headroom) {
+  FRLFI_CHECK_MSG(headroom >= 1.0f, "headroom " << headroom);
+  InjectionReport report;
+  if (weights.empty()) return report;
+  const Int8Quantizer base = Int8Quantizer::calibrate(
+      std::span<const float>(weights.data(), weights.size()));
+  const Int8Quantizer q(base.scale() * headroom);
+  std::vector<std::int8_t> qs(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) qs[i] = q.quantize(weights[i]);
+  auto bytes = std::span<std::uint8_t>(
+      reinterpret_cast<std::uint8_t*>(qs.data()), qs.size());
+  report.bits_total = bit_count(bytes);
+  if (spec.burst.length > 1) {
+    report.bits_flipped = corrupt_bits_burst(bytes, spec, rng);
+  } else if (spec.model == FaultModel::StuckAt0 ||
+             spec.model == FaultModel::StuckAt1) {
+    report.bits_flipped =
+        stick_bits_ber(bytes, spec.ber, spec.model == FaultModel::StuckAt1, rng);
+  } else {
+    report.bits_flipped = flip_bits_ber(bytes, spec.ber, rng, spec.direction);
+  }
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights[i] = q.dequantize(qs[i]);
+  return report;
+}
+
+InjectionReport inject_fixed_point_reference(std::vector<float>& weights,
+                                             const FixedPointFormat& format,
+                                             const FaultSpec& spec, Rng& rng) {
+  InjectionReport report;
+  if (weights.empty()) return report;
+  const FixedPointCodec codec(format);
+  const int word_bits = format.word_bits();
+  report.bits_total = weights.size() * static_cast<std::size_t>(word_bits);
+  std::vector<std::uint32_t> words(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    words[i] = codec.encode(weights[i]);
+  if (spec.burst.length > 1) {
+    report.bits_flipped = corrupt_fixed_words_burst(words, word_bits, spec, rng);
+  } else {
+    for (std::uint32_t& raw : words) {
+      for (int b = 0; b < word_bits; ++b) {
+        if (!rng.bernoulli(spec.ber)) continue;
+        const bool current = (raw >> b) & 1u;
+        const bool flip =
+            spec.model == FaultModel::StuckAt0   ? current
+            : spec.model == FaultModel::StuckAt1 ? !current
+            : spec.direction == FlipDirection::ZeroToOne ? !current
+            : spec.direction == FlipDirection::OneToZero ? current
+                                                         : true;
+        if (!flip) continue;
+        raw = codec.flip_bit(raw, b);
+        ++report.bits_flipped;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights[i] = static_cast<float>(codec.decode(words[i]));
+  return report;
+}
+
+InjectionReport apply_static_inference_fault(
+    Network& policy, const InferenceFaultScenario& scenario, Rng& rng) {
+  std::vector<float> flat = policy.flat_parameters();
+  const InjectionReport report =
+      scenario.use_int8
+          ? inject_int8(flat, scenario.spec, rng, scenario.int8_headroom)
+          : inject_fixed_point_reference(flat, scenario.fixed_format,
+                                         scenario.spec, rng);
+  policy.set_flat_parameters(flat);
+  if (scenario.detector != nullptr) scenario.detector->scan_and_suppress(policy);
+  return report;
 }
 
 }  // namespace frlfi::golden

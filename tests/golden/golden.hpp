@@ -1,20 +1,25 @@
 #pragma once
 
 /// \file golden.hpp
-/// Frozen scalar references for the federated round, built as the
-/// test-only library frlfi_golden (linked by the tests and bench_kernels,
-/// never by libfrlfi). Each is a deliberately naive, vector-of-vectors
-/// implementation of what the library's row kernels compute; the
-/// bit-identity tests and bench gates compare the library against these
-/// (round_util.hpp adapts full matrices onto the library's round).
+/// Frozen scalar references for the federated round and the weight-fault
+/// plane, built as the test-only library frlfi_golden (linked by the
+/// tests and the kernel benches, never by libfrlfi). Each is a
+/// deliberately naive implementation of what a library kernel computes;
+/// the bit-identity tests and bench gates compare the library against
+/// these (round_util.hpp adapts full matrices onto the library's round).
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "federated/channel.hpp"
+#include "fault/model.hpp"
+#include "fault/overlay.hpp"
+#include "frl/evaluation.hpp"
+#include "numeric/fixed_point.hpp"
 
 namespace frlfi::golden {
 
@@ -63,5 +68,42 @@ std::vector<std::vector<float>> frozen_scalar_round(
     double alpha, Rng& rng, std::vector<float>* consensus_out,
     const std::function<void(std::vector<std::vector<float>>&)>& hook =
         nullptr);
+
+// ------------------------------------------------------ weight faults ----
+
+/// Single-bit transient flips: one Bernoulli draw per bit in flat bit
+/// order; a hit flips the bit unless `direction` forbids it for the bit's
+/// current value. Returns bits flipped. The reference corrupt_bits_burst
+/// reproduces at burst length 1.
+std::size_t flip_bits_ber(std::span<std::uint8_t> bytes, double ber, Rng& rng,
+                          FlipDirection direction = FlipDirection::Any);
+
+/// Single-bit stuck-at: one Bernoulli draw per bit; a hit forces the bit
+/// to `value`. Returns bits whose value changed.
+std::size_t stick_bits_ber(std::span<std::uint8_t> bytes, double ber,
+                           bool value, Rng& rng);
+
+/// The in-place int8 injector as it was before every injector became a
+/// DeployedWeights strike: calibrate, widen by `headroom`, quantize,
+/// corrupt the words (single-bit specs through flip_bits_ber /
+/// stick_bits_ber above, bursts through the library's corrupt_bits_burst),
+/// dequantize every word back into `weights`.
+InjectionReport inject_int8(std::span<float> weights, const FaultSpec& spec,
+                            Rng& rng, float headroom = 1.0f);
+
+/// The in-place fixed-point injector: encode every weight, corrupt the
+/// codewords (single-bit specs with per-bit FixedPointCodec::flip_bit
+/// calls, word-major and bit-ascending; bursts through the library's
+/// corrupt_fixed_words_burst), decode every word back into `weights`.
+InjectionReport inject_fixed_point_reference(std::vector<float>& weights,
+                                             const FixedPointFormat& format,
+                                             const FaultSpec& spec, Rng& rng);
+
+/// The in-place static inference fault: flatten, corrupt through the
+/// scenario's representation with the two injectors above, write back,
+/// then let the scenario's detector (if any) zero the out-of-range weights
+/// of the network with RangeAnomalyDetector::scan_and_suppress(Network&).
+InjectionReport apply_static_inference_fault(
+    Network& policy, const InferenceFaultScenario& scenario, Rng& rng);
 
 }  // namespace frlfi::golden

@@ -347,15 +347,19 @@ TEST(BurstInjector, LengthOneIsBitIdenticalToSingleBitGolden) {
   for (const FaultModel model :
        {FaultModel::TransientPersistent, FaultModel::StuckAt0,
         FaultModel::StuckAt1}) {
-    std::vector<std::uint8_t> golden(64), burst(64);
+    std::vector<std::uint8_t> ref(64), burst(64);
     Rng fill(5);
-    for (std::size_t i = 0; i < golden.size(); ++i)
-      golden[i] = burst[i] = static_cast<std::uint8_t>(fill.next_u64());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ref[i] = burst[i] = static_cast<std::uint8_t>(fill.next_u64());
     FaultSpec spec = burst_spec(0.02, 1, BurstAxis::Row, model);
     Rng rg(44), rb(44);
-    const std::size_t ng = corrupt_bits(golden, spec, rg);
+    const std::size_t ng =
+        model == FaultModel::TransientPersistent
+            ? golden::flip_bits_ber(ref, spec.ber, rg, spec.direction)
+            : golden::stick_bits_ber(ref, spec.ber,
+                                     model == FaultModel::StuckAt1, rg);
     const std::size_t nb = corrupt_bits_burst(burst, spec, rb);
-    EXPECT_EQ(golden, burst) << to_string(model);
+    EXPECT_EQ(ref, burst) << to_string(model);
     EXPECT_EQ(ng, nb);
     EXPECT_GT(nb, 0u);  // the lock is exercised, not vacuous
     EXPECT_EQ(rg.next_u64(), rb.next_u64());
@@ -401,14 +405,14 @@ TEST(BurstInjector, MultiBitBurstMatchesXorParityReference) {
 
 TEST(BurstInjector, FixedWordsLengthOneMatchesGoldenReference) {
   const FixedPointFormat fmt{3, 8};  // Q(1,3,8)
-  auto golden = random_row(80, 19);
-  auto burst = golden;
+  auto ref = random_row(80, 19);
+  auto burst = ref;
   const FaultSpec spec = burst_spec(0.01, 1, BurstAxis::Row);
   Rng rg(55), rb(55);
-  const InjectionReport ref =
-      inject_fixed_point_reference(golden, fmt, spec, rg);
-  // Drive the word-domain burst helper exactly as the in-place burst
-  // branch does: encode → corrupt → decode.
+  const InjectionReport report =
+      golden::inject_fixed_point_reference(ref, fmt, spec, rg);
+  // Drive the fixed-word kernel as the strike does: encode → corrupt →
+  // decode.
   const FixedPointCodec codec(fmt);
   std::vector<std::uint32_t> words(burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i)
@@ -417,23 +421,23 @@ TEST(BurstInjector, FixedWordsLengthOneMatchesGoldenReference) {
       corrupt_fixed_words_burst(words, fmt.word_bits(), spec, rb);
   for (std::size_t i = 0; i < burst.size(); ++i)
     burst[i] = static_cast<float>(codec.decode(words[i]));
-  EXPECT_EQ(golden, burst);
-  EXPECT_EQ(ref.bits_flipped, changed);
+  EXPECT_EQ(ref, burst);
+  EXPECT_EQ(report.bits_flipped, changed);
   EXPECT_GT(changed, 0u);
   EXPECT_EQ(rg.next_u64(), rb.next_u64());
 }
 
 TEST(BurstInjector, OverlayBurstMatchesInPlaceInjection) {
-  // The overlay plane and the in-place injectors must stay bit-aligned
-  // under bursts exactly as they are for single-bit faults — int8 and
-  // fixed-point representations both.
+  // The DeployedWeights strike and the frozen in-place injectors must
+  // stay bit-aligned under bursts exactly as they are for single-bit
+  // faults — int8 and fixed-point representations both.
   const FaultSpec spec = burst_spec(0.01, 4, BurstAxis::Column);
   const auto clean = random_row(120, 91);
 
-  {  // int8 (bursts ride the shared corrupt_bits dispatcher)
+  {  // int8
     std::vector<float> inplace = clean;
     Rng ri(14), ro(14);
-    const InjectionReport a = inject_int8(inplace, spec, ri);
+    const InjectionReport a = golden::inject_int8(inplace, spec, ri);
     const DeployedWeights deployed = DeployedWeights::int8_image(clean);
     WeightOverlay overlay;
     const InjectionReport b = deployed.inject(spec, ro, overlay);
@@ -448,7 +452,8 @@ TEST(BurstInjector, OverlayBurstMatchesInPlaceInjection) {
     const FixedPointFormat fmt{2, 9};
     std::vector<float> inplace = clean;
     Rng ri(15), ro(15);
-    const InjectionReport a = inject_fixed_point(inplace, fmt, spec, ri);
+    const InjectionReport a =
+        golden::inject_fixed_point_reference(inplace, fmt, spec, ri);
     const DeployedWeights deployed =
         DeployedWeights::fixed_point_image(clean, fmt);
     WeightOverlay overlay;

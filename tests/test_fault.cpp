@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cmath>
+#include <limits>
+#include <span>
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
 #include "fault/model.hpp"
+#include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
+#include "golden/golden.hpp"
+#include "mitigation/range_detector.hpp"
 #include "numeric/bitutil.hpp"
 
 namespace frlfi {
@@ -20,17 +25,26 @@ TEST(FaultModel, Names) {
   EXPECT_EQ(to_string(FaultSite::ServerFault), "server");
 }
 
+/// The byte kernel's single-bit transient model.
+std::size_t flip_bits(std::span<std::uint8_t> bytes, double ber, Rng& rng,
+                      FlipDirection direction = FlipDirection::Any) {
+  FaultSpec spec;
+  spec.ber = ber;
+  spec.direction = direction;
+  return corrupt_bits_burst(bytes, spec, rng);
+}
+
 TEST(FlipBitsBer, ZeroBerIsNoOp) {
   std::vector<std::uint8_t> buf(64, 0xAA);
   Rng rng(1);
-  EXPECT_EQ(flip_bits_ber(buf, 0.0, rng), 0u);
+  EXPECT_EQ(flip_bits(buf, 0.0, rng), 0u);
   for (auto b : buf) EXPECT_EQ(b, 0xAA);
 }
 
 TEST(FlipBitsBer, FlipCountTracksBer) {
   std::vector<std::uint8_t> buf(4000, 0);
   Rng rng(2);
-  const std::size_t flips = flip_bits_ber(buf, 0.01, rng);
+  const std::size_t flips = flip_bits(buf, 0.01, rng);
   const double expected = 4000 * 8 * 0.01;
   EXPECT_NEAR(static_cast<double>(flips), expected, expected * 0.4);
   EXPECT_EQ(popcount(buf), flips);  // starting from zero, flips = ones
@@ -40,8 +54,7 @@ TEST(FlipBitsBer, DirectionZeroToOneOnlySetsBits) {
   std::vector<std::uint8_t> buf(100, 0x0F);
   Rng rng(3);
   const std::size_t before = popcount(buf);
-  const std::size_t flips =
-      flip_bits_ber(buf, 0.2, rng, FlipDirection::ZeroToOne);
+  const std::size_t flips = flip_bits(buf, 0.2, rng, FlipDirection::ZeroToOne);
   EXPECT_EQ(popcount(buf), before + flips);
 }
 
@@ -49,50 +62,36 @@ TEST(FlipBitsBer, DirectionOneToZeroOnlyClearsBits) {
   std::vector<std::uint8_t> buf(100, 0xF0);
   Rng rng(4);
   const std::size_t before = popcount(buf);
-  const std::size_t flips =
-      flip_bits_ber(buf, 0.2, rng, FlipDirection::OneToZero);
+  const std::size_t flips = flip_bits(buf, 0.2, rng, FlipDirection::OneToZero);
   EXPECT_EQ(popcount(buf), before - flips);
 }
 
 TEST(FlipBitsBer, BerOneWithAnyDirectionFlipsEverything) {
   std::vector<std::uint8_t> buf(8, 0x00);
   Rng rng(5);
-  EXPECT_EQ(flip_bits_ber(buf, 1.0, rng), 64u);
+  EXPECT_EQ(flip_bits(buf, 1.0, rng), 64u);
   for (auto b : buf) EXPECT_EQ(b, 0xFF);
 }
 
 TEST(FlipBitsBer, InvalidBerThrows) {
   std::vector<std::uint8_t> buf(1, 0);
   Rng rng(6);
-  EXPECT_THROW(flip_bits_ber(buf, -0.1, rng), Error);
-  EXPECT_THROW(flip_bits_ber(buf, 1.1, rng), Error);
-}
-
-TEST(FlipBitsExact, FlipsExactlyNDistinctBits) {
-  std::vector<std::uint8_t> buf(16, 0);
-  Rng rng(7);
-  EXPECT_EQ(flip_bits_exact(buf, 10, rng), 10u);
-  EXPECT_EQ(popcount(buf), 10u);  // distinct positions: all still set
-}
-
-TEST(FlipBitsExact, ZeroAndFullRange) {
-  std::vector<std::uint8_t> buf(2, 0);
-  Rng rng(8);
-  EXPECT_EQ(flip_bits_exact(buf, 0, rng), 0u);
-  EXPECT_EQ(flip_bits_exact(buf, 16, rng), 16u);
-  EXPECT_EQ(popcount(buf), 16u);
-  EXPECT_THROW(flip_bits_exact(buf, 17, rng), Error);
+  EXPECT_THROW(flip_bits(buf, -0.1, rng), Error);
+  EXPECT_THROW(flip_bits(buf, 1.1, rng), Error);
 }
 
 TEST(StickBits, ForcesValueAndCountsChanges) {
+  FaultSpec spec;
+  spec.model = FaultModel::StuckAt0;
+  spec.ber = 0.5;
   std::vector<std::uint8_t> buf(100, 0xFF);
   Rng rng(9);
-  const std::size_t changed = stick_bits_ber(buf, 0.5, false, rng);
+  const std::size_t changed = corrupt_bits_burst(buf, spec, rng);
   EXPECT_GT(changed, 0u);
   EXPECT_EQ(popcount(buf), 800u - changed);
   // Sticking already-zero bits to zero changes nothing.
   std::vector<std::uint8_t> zeros(100, 0x00);
-  EXPECT_EQ(stick_bits_ber(zeros, 0.5, false, rng), 0u);
+  EXPECT_EQ(corrupt_bits_burst(zeros, spec, rng), 0u);
 }
 
 TEST(InjectInt8, CorruptsWeightsInPlace) {
@@ -160,10 +159,11 @@ TEST(InjectFixedPoint, CleanPassIsQuantizationOnly) {
   EXPECT_NEAR(w[1], -0.125f, 1e-3f);
 }
 
-TEST(InjectFixedPoint, MaskPathMatchesReferenceExactly) {
-  // The mask-based hot path consumes the identical Bernoulli stream as the
-  // per-bit reference, so for equal seeds the corrupted buffers and flip
-  // counts must agree bit-for-bit across every model/direction.
+TEST(InjectFixedPoint, MatchesFrozenReferenceExactly) {
+  // The DeployedWeights strike over the fixed-word kernel consumes the
+  // identical Bernoulli stream as the frozen per-bit reference, so for
+  // equal seeds the corrupted buffers and flip counts must agree
+  // bit-for-bit across every model/direction.
   const FaultSpec base = [] {
     FaultSpec s;
     s.ber = 0.02;
@@ -191,11 +191,12 @@ TEST(InjectFixedPoint, MaskPathMatchesReferenceExactly) {
     Rng rng_fast(22), rng_ref(22);
     const InjectionReport fast = inject_fixed_point(
         w_fast, FixedPointFormat::q1_7_8(), spec, rng_fast);
-    const InjectionReport ref = inject_fixed_point_reference(
+    const InjectionReport ref = golden::inject_fixed_point_reference(
         w_ref, FixedPointFormat::q1_7_8(), spec, rng_ref);
     EXPECT_EQ(fast.bits_flipped, ref.bits_flipped);
     EXPECT_EQ(fast.bits_total, ref.bits_total);
     EXPECT_EQ(w_fast, w_ref);
+    EXPECT_EQ(rng_fast.next_u64(), rng_ref.next_u64());
     EXPECT_GT(fast.bits_flipped, 0u);  // the case actually exercised flips
   }
 }
@@ -243,6 +244,90 @@ TEST(WeightRestoreGuard, RestoresOnScopeExit) {
   EXPECT_EQ(net.flat_parameters(), before);
 }
 
+/// The input rule every weight injector shares: a BER outside [0, 1]
+/// (NaN included) or a burst of length 0 is rejected, on every word
+/// format and at every burst length — never clamped or run as length 1.
+TEST(InjectorValidation, EveryWeightInjectorRejectsBadBerAndBurst) {
+  Rng init(23);
+  const Network proto = make_gridworld_policy(init);
+  Network calib = proto.clone();
+  const RangeAnomalyDetector detector(calib, {.margin = 0.10});
+  const std::vector<float> clean = proto.flat_parameters();
+  const DeployedWeights int8_image = DeployedWeights::int8_image(clean, 2.0f);
+  const DeployedWeights fixed_image =
+      DeployedWeights::fixed_point_image(clean, FixedPointFormat::q1_7_8());
+  const LayerDeployedWeights layer_image(calib, 0);
+
+  std::vector<FaultSpec> bad;
+  for (const double ber :
+       {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::size_t length : {std::size_t{1}, std::size_t{3}}) {
+      FaultSpec spec;
+      spec.ber = ber;
+      spec.burst.length = length;
+      bad.push_back(spec);
+    }
+  }
+  for (const FaultModel model :
+       {FaultModel::TransientPersistent, FaultModel::StuckAt1}) {
+    FaultSpec spec;
+    spec.model = model;
+    spec.ber = 0.01;
+    spec.burst.length = 0;
+    bad.push_back(spec);
+  }
+
+  for (const FaultSpec& spec : bad) {
+    SCOPED_TRACE(::testing::Message() << "ber " << spec.ber << " burst "
+                                    << spec.burst.length);
+    Rng rng(24);
+    std::vector<float> w = clean;
+    std::vector<std::uint8_t> bytes(16, 0x5A);
+    std::vector<std::uint32_t> words(16, 0x1234);
+    WeightOverlay overlay;
+    QuantOverlay quant_overlay;
+    Network net = proto.clone();
+    InferenceFaultScenario scenario;
+    scenario.spec = spec;
+    EXPECT_THROW(corrupt_bits_burst(bytes, spec, rng), Error);
+    EXPECT_THROW(corrupt_fixed_words_burst(words, 16, spec, rng), Error);
+    EXPECT_THROW(inject_int8(std::span<float>(w), spec, rng), Error);
+    EXPECT_THROW(inject_int8(w, spec, rng, 2.0f), Error);
+    EXPECT_THROW(inject_fixed_point(w, FixedPointFormat::q1_4_11(), spec, rng),
+                 Error);
+    EXPECT_THROW(int8_image.inject(spec, rng, overlay), Error);
+    EXPECT_THROW(int8_image.inject_quant(spec, rng, quant_overlay), Error);
+    EXPECT_THROW(fixed_image.inject(spec, rng, overlay), Error);
+    EXPECT_THROW(layer_image.inject(spec, rng, overlay), Error);
+    EXPECT_THROW(inject_network_weights(net, spec, rng), Error);
+    EXPECT_THROW(inject_layer_weights(net, 0, spec, rng), Error);
+    for (const bool use_int8 : {false, true}) {
+      for (const bool with_detector : {false, true}) {
+        scenario.use_int8 = use_int8;
+        scenario.detector = with_detector ? &detector : nullptr;
+        EXPECT_THROW(apply_static_inference_fault(net, scenario, rng), Error);
+      }
+    }
+    // Nothing was written through on the way to the throw.
+    EXPECT_EQ(w, clean);
+    EXPECT_EQ(net.flat_parameters(), clean);
+  }
+}
+
+TEST(InjectorValidation, FixedWordKernelRejectsOutOfRangeWordBits) {
+  FaultSpec spec;
+  spec.ber = 0.5;
+  std::vector<std::uint32_t> words(4, 0xFFFFu);
+  Rng rng(25);
+  EXPECT_THROW(corrupt_fixed_words_burst(words, 33, spec, rng), Error);
+  EXPECT_THROW(corrupt_fixed_words_burst(words, 0, spec, rng), Error);
+  EXPECT_THROW(corrupt_fixed_words_burst(words, -1, spec, rng), Error);
+  // 32 is the widest legal word: every bit of it is reachable.
+  spec.ber = 1.0;
+  EXPECT_EQ(corrupt_fixed_words_burst(words, 32, spec, rng), 4u * 32u);
+  for (const std::uint32_t w : words) EXPECT_EQ(w, 0xFFFF0000u);
+}
+
 /// Property sweep over BERs: observed flip fraction tracks the BER.
 class BerProperty : public ::testing::TestWithParam<double> {};
 
@@ -250,7 +335,7 @@ TEST_P(BerProperty, FlipFractionMatches) {
   const double ber = GetParam();
   std::vector<std::uint8_t> buf(20000, 0);
   Rng rng(21);
-  const std::size_t flips = flip_bits_ber(buf, ber, rng);
+  const std::size_t flips = flip_bits(buf, ber, rng);
   const double frac = static_cast<double>(flips) / (20000.0 * 8.0);
   EXPECT_NEAR(frac, ber, ber * 0.25 + 1e-5);
 }

@@ -1,9 +1,10 @@
 /// \file test_fault_overlay.cpp
-/// Equivalence lock for the non-mutating fault-overlay plane: overlay
-/// injection must be bit-identical to in-place inject + restore — at the
-/// weight level across representations and BERs, at the forward level
-/// through views (single-sample and batched), and at the trajectory level
-/// for batched Trans-1 vs the serial clone-and-mutate reference.
+/// Equivalence lock for the non-mutating fault-overlay plane: a
+/// DeployedWeights strike must be bit-identical to the frozen in-place
+/// injectors of tests/golden — at the weight level across representations
+/// and BERs, at the forward level through views (single-sample and
+/// batched), and at the trajectory level for batched Trans-1 vs a frozen
+/// serial mutate-and-restore episode.
 
 #include "fault/overlay.hpp"
 
@@ -12,10 +13,12 @@
 #include <memory>
 #include <vector>
 
+#include "core/error.hpp"
 #include "envs/gridworld.hpp"
 #include "fault/injector.hpp"
 #include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
+#include "golden/golden.hpp"
 #include "mitigation/range_detector.hpp"
 #include "test_util.hpp"
 
@@ -58,7 +61,7 @@ TEST(WeightOverlay, Int8OverlayMatchesInPlaceAcrossBersAndModels) {
           std::vector<float> in_place = clean;
           Rng rng_a(77), rng_b(77);
           const InjectionReport ra =
-              inject_int8(in_place, spec, rng_a, headroom);
+              golden::inject_int8(in_place, spec, rng_a, headroom);
           WeightOverlay overlay;
           const InjectionReport rb = deployed.inject(spec, rng_b, overlay);
           EXPECT_EQ(ra.bits_flipped, rb.bits_flipped);
@@ -82,20 +85,24 @@ TEST(WeightOverlay, FixedPointOverlayMatchesInPlaceAcrossFormats) {
     const DeployedWeights deployed =
         DeployedWeights::fixed_point_image(clean, format);
     for (const double ber : {0.0, 1e-3, 0.02, 0.3}) {
-      FaultSpec spec;
-      spec.model = FaultModel::TransientSingleStep;
-      spec.ber = ber;
-      std::vector<float> in_place = clean;
-      Rng rng_a(91), rng_b(91);
-      const InjectionReport ra =
-          inject_fixed_point(in_place, format, spec, rng_a);
-      WeightOverlay overlay;
-      const InjectionReport rb = deployed.inject(spec, rng_b, overlay);
-      EXPECT_EQ(ra.bits_flipped, rb.bits_flipped);
-      EXPECT_EQ(ra.bits_total, rb.bits_total);
-      EXPECT_EQ(effective(deployed, overlay), in_place)
-          << format.name() << " ber " << ber;
-      EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+      for (const FaultModel model :
+           {FaultModel::TransientSingleStep, FaultModel::StuckAt0,
+            FaultModel::StuckAt1}) {
+        FaultSpec spec;
+        spec.model = model;
+        spec.ber = ber;
+        std::vector<float> in_place = clean;
+        Rng rng_a(91), rng_b(91);
+        const InjectionReport ra = golden::inject_fixed_point_reference(
+            in_place, format, spec, rng_a);
+        WeightOverlay overlay;
+        const InjectionReport rb = deployed.inject(spec, rng_b, overlay);
+        EXPECT_EQ(ra.bits_flipped, rb.bits_flipped);
+        EXPECT_EQ(ra.bits_total, rb.bits_total);
+        EXPECT_EQ(effective(deployed, overlay), in_place)
+            << format.name() << " ber " << ber << " " << to_string(model);
+        EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+      }
     }
   }
 }
@@ -262,7 +269,8 @@ TEST(WeightOverlay, DetectorSuppressionMatchesInPlaceScan) {
   // In-place reference: corrupt the network, then scan_and_suppress it.
   std::vector<float> corrupted = clean;
   Rng rng_b(61);
-  inject_fixed_point(corrupted, scenario.fixed_format, scenario.spec, rng_b);
+  golden::inject_fixed_point_reference(corrupted, scenario.fixed_format,
+                                       scenario.spec, rng_b);
   net.set_flat_parameters(corrupted);
   const std::size_t in_place_hits = detector.scan_and_suppress(net);
   EXPECT_GT(in_place_hits, 0u);
@@ -270,11 +278,89 @@ TEST(WeightOverlay, DetectorSuppressionMatchesInPlaceScan) {
   net.set_flat_parameters(clean);
 }
 
+TEST(WeightOverlay, DetectorRejectsOverlayPastCalibratedScalars) {
+  Rng init(52);
+  Network net = make_gridworld_policy(init);
+  const RangeAnomalyDetector detector(net, {.margin = 0.10});
+  const std::vector<float> base = net.flat_parameters();
+  WeightOverlay overlay;
+  overlay.add(base.size(), 1.0f);
+  EXPECT_THROW(
+      detector.scan_and_suppress(std::span<const float>(base), overlay), Error);
+}
+
+TEST(WeightOverlay, StaticFaultMatchesFrozenInPlaceReference) {
+  // apply_static_inference_fault (deploy + strike overlay + detector
+  // merge, materialized) must write exactly what the frozen in-place
+  // corrupt-then-scan_and_suppress(net) sequence writes.
+  Rng init(57);
+  const Network proto = make_gridworld_policy(init);
+  Network calib = proto.clone();
+  const RangeAnomalyDetector detector(calib, {.margin = 0.10});
+  for (const bool use_int8 : {false, true}) {
+    for (const bool with_detector : {false, true}) {
+      for (const FaultModel model :
+           {FaultModel::TransientPersistent, FaultModel::StuckAt0,
+            FaultModel::StuckAt1}) {
+        InferenceFaultScenario scenario;
+        scenario.spec.model = model;
+        scenario.spec.ber = 0.03;
+        scenario.use_int8 = use_int8;
+        if (with_detector) scenario.detector = &detector;
+        Network frozen = proto.clone();
+        Network routed = proto.clone();
+        Rng rng_a(58), rng_b(58);
+        const InjectionReport a =
+            golden::apply_static_inference_fault(frozen, scenario, rng_a);
+        const InjectionReport b =
+            apply_static_inference_fault(routed, scenario, rng_b);
+        EXPECT_EQ(a.bits_flipped, b.bits_flipped);
+        EXPECT_EQ(a.bits_total, b.bits_total);
+        EXPECT_EQ(frozen.flat_parameters(), routed.flat_parameters())
+            << "int8 " << use_int8 << " detector " << with_detector << " "
+            << to_string(model);
+        EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+      }
+    }
+  }
+}
+
+/// Frozen serial Trans-1 episode: the fault-step draw, the reset, then at
+/// the fault step the frozen in-place static fault under a
+/// WeightRestoreGuard for that single read.
+EpisodeStats frozen_trans1_episode(Network& policy, Environment& env, Rng& rng,
+                                   std::size_t max_steps,
+                                   const InferenceFaultScenario& scenario) {
+  const std::size_t fault_step =
+      static_cast<std::size_t>(rng.uniform_index(max_steps));
+  EpisodeStats stats;
+  Tensor obs = env.reset(rng);
+  for (std::size_t t = 0; t < max_steps; ++t) {
+    std::size_t action;
+    if (t == fault_step) {
+      WeightRestoreGuard guard(policy);
+      golden::apply_static_inference_fault(policy, scenario, rng);
+      action = policy.forward(obs).argmax();
+    } else {
+      action = policy.forward(obs).argmax();
+    }
+    StepResult r = env.step(action, rng);
+    stats.total_reward += r.reward;
+    ++stats.steps;
+    if (r.done) {
+      stats.success = r.success;
+      return stats;
+    }
+    obs = std::move(r.observation);
+  }
+  return stats;
+}
+
 TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
   // The acceptance lock: greedy_episodes_trans1_batched over per-lane
-  // weight views reproduces the serial clone + WeightRestoreGuard loop
-  // bit-for-bit — same stats, same env end-states — without ever touching
-  // the shared policy.
+  // weight views reproduces the frozen serial clone + WeightRestoreGuard
+  // loop bit-for-bit — same stats, same env end-states — without ever
+  // touching the shared policy; so does the library's serial runner.
   Rng init(71);
   Network policy = make_gridworld_policy(init);
   const std::vector<float> clean = policy.flat_parameters();
@@ -301,7 +387,14 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
       GridWorldEnv env(suite[i % suite.size()], opts);
       Rng rng = lane_rng(i);
       serial.push_back(
-          greedy_episode_trans1(lane_policy, env, rng, max_steps, scenario));
+          frozen_trans1_episode(lane_policy, env, rng, max_steps, scenario));
+      GridWorldEnv lib_env(suite[i % suite.size()], opts);
+      Rng lib_rng = lane_rng(i);
+      const EpisodeStats lib = greedy_episode_trans1(
+          lane_policy, lib_env, lib_rng, max_steps, scenario);
+      EXPECT_EQ(lib.steps, serial.back().steps) << "lane " << i;
+      EXPECT_EQ(lib.success, serial.back().success) << "lane " << i;
+      EXPECT_EQ(lib.total_reward, serial.back().total_reward) << "lane " << i;
     }
 
     std::vector<std::unique_ptr<GridWorldEnv>> envs;
@@ -335,7 +428,7 @@ InjectionReport frozen_inject_network_weights(Network& net,
                                               const FaultSpec& spec,
                                               Rng& rng) {
   std::vector<float> flat = net.flat_parameters();
-  const InjectionReport report = inject_int8(flat, spec, rng);
+  const InjectionReport report = golden::inject_int8(flat, spec, rng);
   net.set_flat_parameters(flat);
   return report;
 }
@@ -348,7 +441,7 @@ InjectionReport frozen_inject_layer_weights(Network& net,
   InjectionReport report;
   for (Parameter* p : net.layer(layer_index).parameters()) {
     std::vector<float>& w = p->value.data();
-    const InjectionReport r = inject_int8(w, spec, rng);
+    const InjectionReport r = golden::inject_int8(w, spec, rng);
     report.bits_flipped += r.bits_flipped;
     report.bits_total += r.bits_total;
   }

@@ -29,6 +29,7 @@
 #include "fault/overlay.hpp"
 #include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
+#include "golden/golden.hpp"
 #include "mitigation/range_detector.hpp"
 #include "nn/network.hpp"
 
@@ -222,6 +223,15 @@ TEST(QuantOverlayLock, InjectQuantIsWordLevelTwinOfInject) {
       const InjectionReport rep_q = deployed.inject_quant(spec, rq, qo);
       EXPECT_EQ(rep_f.bits_flipped, rep_q.bits_flipped);
       EXPECT_EQ(rep_f.bits_total, rep_q.bits_total);
+      // And both match the frozen in-place int8 injector.
+      std::vector<float> in_place = policy.flat_parameters();
+      Rng rg(99);
+      const InjectionReport rep_g =
+          golden::inject_int8(in_place, spec, rg, 2.0f);
+      std::vector<float> materialized = deployed.base();
+      fo.apply_to(materialized);
+      EXPECT_EQ(materialized, in_place);
+      EXPECT_EQ(rep_g.bits_flipped, rep_f.bits_flipped);
       ASSERT_EQ(fo.indices, qo.indices)
           << "ber " << ber << " burst " << burst.length;
       for (std::size_t i = 0; i < qo.size(); ++i)
@@ -229,8 +239,10 @@ TEST(QuantOverlayLock, InjectQuantIsWordLevelTwinOfInject) {
                   bits_of(static_cast<float>(qo.words[i]) *
                           deployed.int8_scale()))
             << "entry " << i;
-      // Both paths left the streams at the same position.
-      EXPECT_EQ(rf.uniform_index(1u << 30), rq.uniform_index(1u << 30));
+      // All three paths left the streams at the same position.
+      const std::uint64_t next = rf.uniform_index(1u << 30);
+      EXPECT_EQ(next, rq.uniform_index(1u << 30));
+      EXPECT_EQ(next, rg.uniform_index(1u << 30));
     }
   }
 }
@@ -392,7 +404,9 @@ TEST(QuantEvaluation, Int8CampaignThreadCountInvariant) {
 TEST(QuantDetector, QuantScreenMatchesFloatScreen) {
   // The detector's quant overload must suppress exactly the entries the
   // float overload suppresses on the equivalent float overlay — word 0
-  // standing in for 0.0f — with and without the base_hits fast path.
+  // standing in for 0.0f — with and without the base_hits fast path, and
+  // the float screen must repair exactly what the in-place network scan
+  // repairs.
   Rng init(54);
   Network policy = make_gridworld_policy(init);
   RangeAnomalyDetector detector(policy, {.margin = 0.10});
@@ -410,6 +424,13 @@ TEST(QuantDetector, QuantScreenMatchesFloatScreen) {
     deployed.inject(spec, rf, fo);
     deployed.inject_quant(spec, rq, qo);
     QuantOverlay qo_fast = qo;
+    // Independent reference: materialize the strike into a network and
+    // let the in-place scan_and_suppress(net) repair it.
+    Network in_place = policy.clone();
+    std::vector<float> struck = deployed.base();
+    fo.apply_to(struck);
+    in_place.set_flat_parameters(struck);
+    const std::size_t n_ref = detector.scan_and_suppress(in_place);
     const std::size_t nf = detector.scan_and_suppress(
         std::span<const float>(deployed.base()), fo);
     const std::size_t nq = detector.scan_and_suppress(
@@ -417,6 +438,10 @@ TEST(QuantDetector, QuantScreenMatchesFloatScreen) {
     const std::size_t nq_fast = detector.scan_and_suppress(
         std::span<const float>(deployed.base()), deployed.int8_scale(),
         qo_fast, &base_hits);
+    EXPECT_EQ(nf, n_ref);
+    std::vector<float> screened = deployed.base();
+    fo.apply_to(screened);
+    EXPECT_EQ(screened, in_place.flat_parameters());
     EXPECT_EQ(nq, nf);
     EXPECT_EQ(nq_fast, nf);
     ASSERT_EQ(qo.indices, fo.indices);

@@ -115,7 +115,7 @@ TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
       uploads, ref_channel, schedule.at(0), ref_rng, nullptr,
       [&](std::vector<std::vector<float>>& agg) {
         Rng fault_rng(4242);
-        for (auto& params : agg) inject_int8(params, spec, fault_rng);
+        for (auto& params : agg) golden::inject_int8(params, spec, fault_rng);
       });
 
   ParameterServer rows_srv(n, dim, schedule);
