@@ -298,12 +298,27 @@ FederatedRoundEngine::TrainingState FederatedRoundEngine::training_state()
 }
 
 void FederatedRoundEngine::restore_training_state(const TrainingState& state) {
-  // A wrong-length checkpoint would otherwise load cleanly and throw only
-  // at the first recovery, mid-training.
+  // Validate the whole state before the first write, so a rejected state
+  // leaves the engine as it was. A wrong-length checkpoint would otherwise
+  // load cleanly and throw only at the first recovery, mid-training.
   const std::size_t saved = state.checkpoints.saved.size();
   FRLFI_CHECK_MSG(saved == 0 || saved == cfg_.parameter_dim,
                   "checkpoint holds " << saved << " floats, parameter dim "
                                       << cfg_.parameter_dim);
+  for (const ParameterServer::PendingUpload& p : state.pending_uploads) {
+    FRLFI_CHECK_MSG(p.agent < cfg_.n_agents, "pending upload agent " << p.agent);
+    FRLFI_CHECK_MSG(p.data.size() == cfg_.parameter_dim,
+                    "pending upload dim " << p.data.size());
+  }
+  if (state.has_mitigation_state) {
+    const RewardDropMonitor::State& m = state.monitor;
+    FRLFI_CHECK_MSG(m.baseline.size() == cfg_.n_agents &&
+                        m.below_count.size() == cfg_.n_agents &&
+                        m.seen.size() == cfg_.n_agents,
+                    "monitor state for " << m.baseline.size()
+                                         << " agents, engine has "
+                                         << cfg_.n_agents);
+  }
   episode_ = state.episode;
   server_fault_pending_ = state.server_fault_pending;
   if (server_) {

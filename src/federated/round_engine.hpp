@@ -2,11 +2,14 @@
 
 /// \file round_engine.hpp
 /// The shared federated training-round engine: one implementation of the
-/// episode → fault → communicate → mitigation orchestration that both
-/// paper systems (GridWorldFrlSystem, DroneFrlSystem) used to duplicate.
-/// A concrete system supplies four agent-local callbacks — run one local
-/// training episode, gather/scatter its flat parameters, and corrupt one
-/// agent in place — and the engine owns everything between them:
+/// episode → fault → communicate → mitigation orchestration behind both
+/// paper systems (GridWorldFrlSystem, DroneFrlSystem). It takes four
+/// agent-local callbacks — run one local training episode, gather/scatter
+/// its flat parameters, and corrupt one agent in place. The systems'
+/// shared core (frl/federated_system.hpp) owns the engine, supplies the
+/// three network hooks once and forwards the engine surface; each system
+/// adds only its episode hook. The engine owns everything between the
+/// callbacks:
 ///
 ///  * **Pool-parallel local episodes.** Agents own disjoint env/network/
 ///    learner state and every episode draws the derived stream
@@ -36,8 +39,7 @@
 ///    halted.
 ///
 /// The engine is deliberately ignorant of environments, learners and
-/// network topology — that is the whole system-specific surface, and it
-/// stays in the systems.
+/// network topology — that surface stays in the systems and their core.
 
 #include <cstdint>
 #include <functional>
@@ -215,7 +217,9 @@ class FederatedRoundEngine {
   /// enabled; otherwise the machinery restarts fresh (the historical
   /// behaviour, still what position-only restores get). Throws Error,
   /// before changing anything, unless the checkpoint is empty or holds
-  /// parameter_dim floats.
+  /// parameter_dim floats, every pending upload names an agent below
+  /// n_agents and holds parameter_dim floats, and any mitigation state
+  /// covers exactly n_agents.
   void restore_training_state(const TrainingState& state);
 
   /// Reposition the training timeline after a position-only snapshot

@@ -1,7 +1,5 @@
 #include "frl/drone_system.hpp"
 
-#include "frl/persist.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <map>
@@ -10,8 +8,6 @@
 
 #include "core/error.hpp"
 #include "dronesim/heuristic.hpp"
-#include "fault/injector.hpp"
-#include "federated/aggregation.hpp"
 #include "frl/policies.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -144,10 +140,6 @@ std::vector<float> DroneFrlSystem::pretrain(const Config& cfg,
 
 DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
     : cfg_(cfg), seed_(seed) {
-  FRLFI_CHECK_MSG(cfg_.n_drones >= 1, "need at least one drone");
-  FRLFI_CHECK(cfg_.comm_interval >= 1);
-  FRLFI_CHECK(cfg_.comm_interval_boost >= 1);
-
   const std::vector<float>& pretrained = pretrained_parameters(cfg_, seed);
   // Every drone starts from the shared offline-pretrained policy (see
   // pretrained_parameters); topology init RNG is irrelevant because the
@@ -163,47 +155,22 @@ DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
         std::make_unique<ReinforceTrainer>(*nets_.back(), cfg_.learner));
   }
 
-  FederatedRoundEngine::Config ecfg;
-  ecfg.n_agents = cfg_.n_drones;
-  ecfg.parameter_dim = nets_[0]->parameter_count();
-  ecfg.comm_interval = cfg_.comm_interval;
-  ecfg.boost_after_episode = cfg_.boost_after_episode;
-  ecfg.comm_interval_boost = cfg_.comm_interval_boost;
-  ecfg.alpha0 = cfg_.alpha0;
-  ecfg.alpha_tau = cfg_.alpha_tau;
-  ecfg.channel_ber = cfg_.channel_ber;
-  ecfg.bursty_channel = cfg_.channel_bursty;
-  ecfg.threads = cfg_.threads;
-  ecfg.server_threads = cfg_.server_threads;
-  engine_ = std::make_unique<FederatedRoundEngine>(
-      ecfg, seed, /*stream_tag=*/0xD201E,
-      FederatedRoundEngine::Hooks{
-          [this](std::size_t i, std::size_t /*episode*/, Rng& rng) {
-            return learners_[i]
-                ->run_episode(*envs_[i], rng, /*learn=*/true)
-                .total_reward;
-          },
-          [this](std::size_t i, std::span<float> out) {
-            nets_[i]->copy_flat_parameters(out);
-          },
-          [this](std::size_t i, std::span<const float> params) {
-            nets_[i]->set_flat_parameters(params);
-          },
-          [this](std::size_t victim, const FaultSpec& spec, Rng& rng) {
-            inject_network_weights(*nets_[victim], spec, rng);
-          },
-          /*on_round=*/nullptr});
+  start_engine({.comm_interval = cfg_.comm_interval,
+                .boost_after_episode = cfg_.boost_after_episode,
+                .comm_interval_boost = cfg_.comm_interval_boost,
+                .alpha0 = cfg_.alpha0,
+                .alpha_tau = cfg_.alpha_tau,
+                .channel_ber = cfg_.channel_ber,
+                .bursty_channel = cfg_.channel_bursty,
+                .threads = cfg_.threads,
+                .server_threads = cfg_.server_threads},
+               seed, /*stream_tag=*/0xD201E,
+               [this](std::size_t i, std::size_t /*episode*/, Rng& rng) {
+                 return learners_[i]
+                     ->run_episode(*envs_[i], rng, /*learn=*/true)
+                     .total_reward;
+               });
 }
-
-void DroneFrlSystem::set_fault_plan(const TrainingFaultPlan& plan) {
-  engine_->set_fault_plan(plan);
-}
-
-void DroneFrlSystem::set_mitigation(const MitigationPlan& plan) {
-  engine_->set_mitigation(plan);
-}
-
-void DroneFrlSystem::train(std::size_t episodes) { engine_->train(episodes); }
 
 double DroneFrlSystem::evaluate_flight_distance(std::size_t episodes_per_drone,
                                                 std::uint64_t seed) {
@@ -220,129 +187,20 @@ double DroneFrlSystem::evaluate_flight_distance(std::size_t episodes_per_drone,
          static_cast<double>(cfg_.n_drones * episodes_per_drone);
 }
 
-Network DroneFrlSystem::consensus_network() const {
-  std::vector<std::vector<float>> all;
-  all.reserve(nets_.size());
-  for (const auto& n : nets_) all.push_back(n->flat_parameters());
-  Network net = nets_[0]->clone();
-  net.set_flat_parameters(mean_parameters(all));
-  return net;
-}
-
 double DroneFrlSystem::evaluate_inference_fault(
     const InferenceFaultScenario& scenario, std::size_t episodes_per_drone,
     std::uint64_t seed, std::size_t threads) {
-  Network policy = consensus_network();
-  Rng fault_rng = Rng(seed).split(0xFA53);
-
-  const bool trans1 =
-      scenario.spec.model == FaultModel::TransientSingleStep;
-  if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
-
-  // One policy serves every drone, so each decision step batches all
-  // still-flying drones' observations into a single forward, and episodes
-  // fan across worker lanes with per-lane env ownership over the shared
-  // read-only policy. Trans-1 joins the same batched step: each drone's
-  // single-read corruption rides a per-lane weight view, so striking and
-  // clean drones share one forward without any clone-and-restore.
-  BatchedCampaignSpec spec;
-  spec.episodes = episodes_per_drone;
-  spec.agents = cfg_.n_drones;
-  spec.max_steps = cfg_.env.max_steps;
-  spec.seed = seed;
-  spec.rng_salt = 0xE7A2;
-  spec.threads = threads;
-  spec.activation_detector = scenario.detector;
-  // Same plane rule as the gridworld system: scenario.mode governs both
-  // Trans-1 (inside the runner) and static-fault campaigns (clean trials
-  // over the corrupted policy's fresh int8 deployment).
-  spec.mode = scenario.mode;
-  spec.int8_headroom = scenario.int8_headroom;
-  if (trans1) spec.trans1 = &scenario;
-  const std::vector<double> distances = run_batched_inference_campaign(
-      policy, spec,
-      [this](std::size_t i) {
-        return std::make_unique<DroneNavEnv>(seed_ ^ (0xD60E'0000ULL + i),
-                                             cfg_.env, DroneCamera::Options{});
-      },
-      [](std::size_t, const Environment& env, const EpisodeStats&) {
-        return static_cast<const DroneNavEnv&>(env).flight_distance();
-      });
-  double total = 0.0;
-  for (const double d : distances) total += d;
-  return total / static_cast<double>(distances.size());
-}
-
-DroneFrlSystem::Snapshot DroneFrlSystem::snapshot() const {
-  Snapshot snap;
-  snap.engine = engine_->training_state();
-  snap.episode = snap.engine.episode;
-  snap.round = snap.engine.round;
-  for (const auto& n : nets_) snap.drone_params.push_back(n->flat_parameters());
-  for (const auto& l : learners_) snap.baselines.push_back(l->baseline_state());
-  return snap;
-}
-
-void DroneFrlSystem::restore(const Snapshot& snap) {
-  FRLFI_CHECK_MSG(snap.drone_params.size() == nets_.size(),
-                  "snapshot drone count mismatch");
-  for (std::size_t i = 0; i < nets_.size(); ++i)
-    nets_[i]->set_flat_parameters(snap.drone_params[i]);
-  FRLFI_CHECK(snap.baselines.size() == learners_.size());
-  for (std::size_t i = 0; i < learners_.size(); ++i)
-    learners_[i]->set_baseline_state(snap.baselines[i]);
-  // Top-level counters win over the engine block so hand-built snapshots
-  // keep their historical position-only semantics.
-  FederatedRoundEngine::TrainingState state = snap.engine;
-  state.episode = snap.episode;
-  state.round = snap.round;
-  engine_->restore_training_state(state);
-}
-
-void DroneFrlSystem::save(std::ostream& os) const {
-  persist::write_header(os, 3);
-  const Snapshot snap = snapshot();
-  persist::write_u64(os, snap.episode);
-  persist::write_u64(os, snap.round);
-  persist::write_u64(os, snap.drone_params.size());
-  for (const auto& p : snap.drone_params) persist::write_floats(os, p);
-  for (const auto& b : snap.baselines) {
-    persist::write_floats(os, {b.value});
-    persist::write_u64(os, b.initialized ? 1 : 0);
-  }
-  persist::write_training_state(os, snap.engine);
-}
-
-void DroneFrlSystem::load(std::istream& is) {
-  const std::uint32_t version = persist::read_header(is);
-  FRLFI_CHECK_MSG(version >= 1 && version <= 3,
-                  "unsupported state version " << version);
-  Snapshot snap;
-  snap.episode = static_cast<std::size_t>(persist::read_u64(is));
-  snap.round = static_cast<std::size_t>(persist::read_u64(is));
-  const std::uint64_t n = persist::read_u64(is);
-  FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " drones, system has "
-                                                    << nets_.size());
-  for (std::uint64_t i = 0; i < n; ++i)
-    snap.drone_params.push_back(persist::read_floats(is));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ReinforceTrainer::BaselineState b;
-    const std::vector<float> v = persist::read_floats(is);
-    FRLFI_CHECK(v.size() == 1);
-    b.value = v[0];
-    b.initialized = persist::read_u64(is) != 0;
-    snap.baselines.push_back(b);
-  }
-  // Version-1 files carry no engine block: restore() falls back to the
-  // historical position-only semantics.
-  if (version >= 2)
-    snap.engine = persist::read_training_state(is, cfg_.n_drones, version);
-  restore(snap);
-}
-
-Network& DroneFrlSystem::drone_network(std::size_t drone) {
-  FRLFI_CHECK(drone < nets_.size());
-  return *nets_[drone];
+  // Fault salt, trial-stream salt, step cap, env factory, metric.
+  return run_inference_campaign(
+      scenario, episodes_per_drone, seed, threads,
+      {0xFA53, 0xE7A2, cfg_.env.max_steps,
+       [this](std::size_t i) {
+         return std::make_unique<DroneNavEnv>(seed_ ^ (0xD60E'0000ULL + i),
+                                              cfg_.env, DroneCamera::Options{});
+       },
+       [](std::size_t, const Environment& env, const EpisodeStats&) {
+         return static_cast<const DroneNavEnv&>(env).flight_distance();
+       }});
 }
 
 DroneNavEnv& DroneFrlSystem::drone_env(std::size_t drone) {

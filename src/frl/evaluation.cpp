@@ -28,27 +28,6 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
   return stats;
 }
 
-EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
-                                  std::size_t max_steps,
-                                  const QuantWeightView& qview) {
-  FRLFI_CHECK(max_steps >= 1);
-  EpisodeStats stats;
-  Tensor obs = env.reset(rng);
-  for (std::size_t t = 0; t < max_steps; ++t) {
-    const std::size_t action = policy.forward_quant(obs, qview).argmax();
-    StepResult r = env.step(action, rng);
-    stats.total_reward += r.reward;
-    ++stats.steps;
-    if (r.done) {
-      stats.success = r.success;
-      return stats;
-    }
-    obs = std::move(r.observation);
-  }
-  stats.success = false;
-  return stats;
-}
-
 namespace {
 
 /// Trans-1 strike plan for the lockstep runner: each lane's fault step
@@ -296,75 +275,6 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
   return lockstep_episodes(policy, envs, rngs, max_steps,
                            /*activation_detector=*/nullptr, &strikes,
                            base_qview ? &*base_qview : nullptr);
-}
-
-EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
-                                   std::size_t max_steps,
-                                   const InferenceFaultScenario& scenario) {
-  FRLFI_CHECK(max_steps >= 1);
-  // The faulty read strikes at one uniformly chosen step of the episode.
-  // Episodes that terminate before that step simply never experience it —
-  // matching a fault arriving at a random wall-clock time.
-  const std::size_t fault_step =
-      static_cast<std::size_t>(rng.uniform_index(max_steps));
-
-  // Int8-native plane: the whole episode executes the deployed image
-  // directly, the strike riding a word overlay — the serial golden the
-  // batched quant runner reproduces bit-for-bit. Same rng order as the
-  // float branch (fault-step draw, reset, strike draw at the fault step).
-  if (scenario.mode == InferenceMode::Int8) {
-    FRLFI_CHECK_MSG(scenario.use_int8,
-                    "InferenceMode::Int8 requires an int8 deployment "
-                    "(scenario.use_int8)");
-    const DeployedWeights deployed = make_deployed_weights(policy, scenario);
-    const QuantWeightView base_view = deployed.quant_view(nullptr);
-    EpisodeStats stats;
-    Tensor obs = env.reset(rng);
-    for (std::size_t t = 0; t < max_steps; ++t) {
-      std::size_t action;
-      if (t == fault_step) {
-        QuantOverlay overlay;
-        trans1_strike_overlay_quant(deployed, scenario, rng, overlay);
-        const QuantWeightView struck = deployed.quant_view(&overlay);
-        action = policy.forward_quant(obs, struck).argmax();
-      } else {
-        action = policy.forward_quant(obs, base_view).argmax();
-      }
-      StepResult r = env.step(action, rng);
-      stats.total_reward += r.reward;
-      ++stats.steps;
-      if (r.done) {
-        stats.success = r.success;
-        return stats;
-      }
-      obs = std::move(r.observation);
-    }
-    stats.success = false;
-    return stats;
-  }
-
-  EpisodeStats stats;
-  Tensor obs = env.reset(rng);
-  for (std::size_t t = 0; t < max_steps; ++t) {
-    std::size_t action;
-    if (t == fault_step) {
-      WeightRestoreGuard guard(policy);  // restores after the single read
-      apply_static_inference_fault(policy, scenario, rng);
-      action = policy.forward(obs).argmax();
-    } else {
-      action = policy.forward(obs).argmax();
-    }
-    StepResult r = env.step(action, rng);
-    stats.total_reward += r.reward;
-    ++stats.steps;
-    if (r.done) {
-      stats.success = r.success;
-      return stats;
-    }
-    obs = std::move(r.observation);
-  }
-  stats.success = false;
-  return stats;
 }
 
 InjectionReport apply_static_inference_fault(

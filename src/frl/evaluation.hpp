@@ -29,15 +29,6 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
                             std::size_t max_steps,
                             const WeightView* view = nullptr);
 
-/// greedy_episode on the int8-native plane: every action read executes the
-/// deployed int8 words through `qview` (Network::forward_quant) instead of
-/// the float shadow. The serial golden for the batched quant runner —
-/// which reproduces it bit-for-bit at every fleet size and thread count,
-/// since the quant plane has no batch-width tolerance.
-EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
-                                  std::size_t max_steps,
-                                  const QuantWeightView& qview);
-
 /// Run one greedy episode per lane over independent environments in
 /// lockstep, batching the observations of all still-active lanes into a
 /// single Network::forward_batch per decision step. Lane i consumes
@@ -57,10 +48,11 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
 ///
 /// A non-null `qview` moves every batched forward to the int8-native plane
 /// (Network::forward_batch_quant over the deployed image): lane i then
-/// matches greedy_episode_quant(policy, *envs[i], rngs[i], max_steps,
-/// *qview) bit-for-bit at EVERY fleet size — per-sample activation scales
-/// and exact integer accumulation leave no batched-GEMM ulp tolerance on
-/// this plane, conv policies included.
+/// matches a serial episode of Network::forward_quant reads (the
+/// golden::greedy_episode_quant reference in tests/golden) bit-for-bit at
+/// EVERY fleet size — per-sample activation scales and exact integer
+/// accumulation leave no batched-GEMM ulp tolerance on this plane, conv
+/// policies included.
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps,
@@ -104,17 +96,6 @@ struct InferenceFaultScenario {
   const RangeAnomalyDetector* detector = nullptr;
 };
 
-/// Run one greedy episode with a Trans-1 fault: at one uniformly chosen
-/// step the weights are corrupted (apply_static_inference_fault: per the
-/// scenario's representation and BER, with the range detector, when
-/// configured, screening that read) for that single action read, then
-/// restored by a WeightRestoreGuard. This is the serial mutate-and-restore
-/// runner; the batched runner below reproduces it bit-for-bit through
-/// per-lane weight views without ever mutating.
-EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
-                                   std::size_t max_steps,
-                                   const InferenceFaultScenario& scenario);
-
 /// Deployed-domain image of `policy`'s parameters under the scenario's
 /// representation (int8 with headroom, or the fixed-point word): the
 /// shared, read-only half of a Trans-1 strike. Compute once per campaign;
@@ -147,14 +128,17 @@ InjectionReport trans1_strike_overlay_quant(
 
 /// Lockstep batched Trans-1: one greedy episode per lane over independent
 /// environments, where lane i's weights are corrupted for the single
-/// action read at one uniformly chosen step of its episode. Lane i
-/// consumes rngs[i] exactly as greedy_episode_trans1(policy, *envs[i],
-/// rngs[i], max_steps, scenario) would (fault-step draw, reset, strike,
-/// env steps — in that order), and the strike rides a per-lane WeightView
-/// through Network::forward_batch instead of mutating the policy: clean
-/// lanes share the batched forward while each striking lane's rows read
-/// its own corrupted weights. Per-lane results match the serial Trans-1
-/// loop under the same batch-width equivalence contract as
+/// action read at one uniformly chosen step of its episode (the strike is
+/// apply_static_inference_fault's corruption, detector screen included).
+/// Lane i consumes rngs[i] exactly as the serial mutate-and-restore loop
+/// (the golden::greedy_episode_trans1 reference in tests/golden) does —
+/// fault-step draw, reset, strike, env steps, in that order — and the
+/// strike rides a per-lane WeightView through Network::forward_batch
+/// instead of mutating the policy: clean lanes share the batched forward
+/// while each striking lane's rows read its own corrupted weights.
+/// Episodes that end before their fault step never experience it. Per-lane
+/// results match the serial Trans-1 loop under the same batch-width
+/// equivalence contract as
 /// greedy_episodes_batched (bit-identical for MLP policies and for conv
 /// policies at sub-wide-kernel fleet sizes). `policy` is never mutated and
 /// never cloned — the deletion of the per-lane clone + restore-guard

@@ -1,22 +1,15 @@
 #include "frl/gridworld_system.hpp"
 
-#include "frl/persist.hpp"
-
 #include <algorithm>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
-#include "fault/injector.hpp"
-#include "federated/aggregation.hpp"
 #include "frl/policies.hpp"
 
 namespace frlfi {
 
 GridWorldFrlSystem::GridWorldFrlSystem(Config cfg, std::uint64_t seed)
     : cfg_(cfg), eps_(cfg.eps_start, cfg.eps_end, cfg.eps_span) {
-  FRLFI_CHECK_MSG(cfg_.n_agents >= 1, "need at least one agent");
-  FRLFI_CHECK(cfg_.comm_interval >= 1);
-
   const std::vector<GridLayout> suite = GridLayout::paper_suite();
   // All agents start from one shared initialization: parameter-space
   // averaging across independently-initialized networks is destructive
@@ -31,54 +24,20 @@ GridWorldFrlSystem::GridWorldFrlSystem(Config cfg, std::uint64_t seed)
     learners_.push_back(std::make_unique<QLearner>(*nets_.back(), cfg_.learner));
   }
 
-  FederatedRoundEngine::Config ecfg;
-  ecfg.n_agents = cfg_.n_agents;
-  ecfg.parameter_dim = nets_[0]->parameter_count();
-  ecfg.comm_interval = cfg_.comm_interval;
-  ecfg.alpha0 = cfg_.alpha0;
-  ecfg.alpha_tau = cfg_.alpha_tau;
-  ecfg.channel_ber = cfg_.channel_ber;
-  ecfg.bursty_channel = cfg_.channel_bursty;
-  ecfg.threads = cfg_.threads;
-  ecfg.server_threads = cfg_.server_threads;
-  engine_ = std::make_unique<FederatedRoundEngine>(
-      ecfg, seed, /*stream_tag=*/0x7121A1,
-      FederatedRoundEngine::Hooks{
-          [this](std::size_t i, std::size_t episode, Rng& rng) {
-            const double epsilon = eps_.at(episode);
-            return learners_[i]
-                ->run_episode(*envs_[i], rng, epsilon, /*learn=*/true)
-                .total_reward;
-          },
-          [this](std::size_t i, std::span<float> out) {
-            nets_[i]->copy_flat_parameters(out);
-          },
-          [this](std::size_t i, std::span<const float> params) {
-            nets_[i]->set_flat_parameters(params);
-          },
-          [this](std::size_t victim, const FaultSpec& spec, Rng& rng) {
-            inject_network_weights(*nets_[victim], spec, rng);
-          },
-          /*on_round=*/nullptr});
-}
-
-void GridWorldFrlSystem::set_fault_plan(const TrainingFaultPlan& plan) {
-  engine_->set_fault_plan(plan);
-}
-
-void GridWorldFrlSystem::set_mitigation(const MitigationPlan& plan) {
-  engine_->set_mitigation(plan);
-}
-
-void GridWorldFrlSystem::train(std::size_t episodes) {
-  engine_->train(episodes);
-}
-
-std::vector<float> GridWorldFrlSystem::consensus_params() const {
-  std::vector<std::vector<float>> all;
-  all.reserve(nets_.size());
-  for (const auto& n : nets_) all.push_back(n->flat_parameters());
-  return mean_parameters(all);
+  start_engine({.comm_interval = cfg_.comm_interval,
+                .alpha0 = cfg_.alpha0,
+                .alpha_tau = cfg_.alpha_tau,
+                .channel_ber = cfg_.channel_ber,
+                .bursty_channel = cfg_.channel_bursty,
+                .threads = cfg_.threads,
+                .server_threads = cfg_.server_threads},
+               seed, /*stream_tag=*/0x7121A1,
+               [this](std::size_t i, std::size_t episode, Rng& rng) {
+                 return learners_[i]
+                     ->run_episode(*envs_[i], rng, eps_.at(episode),
+                                   /*learn=*/true)
+                     .total_reward;
+               });
 }
 
 double GridWorldFrlSystem::evaluate_agent(std::size_t agent,
@@ -122,12 +81,6 @@ std::size_t GridWorldFrlSystem::episodes_to_recover(
   return max_extra_episodes;
 }
 
-Network GridWorldFrlSystem::consensus_network() const {
-  Network net = nets_[0]->clone();
-  net.set_flat_parameters(consensus_params());
-  return net;
-}
-
 double GridWorldFrlSystem::consensus_action_stddev() const {
   Network net = consensus_network();
   // Enumerate the full observation lattice (each of the 10 features takes
@@ -163,102 +116,16 @@ double GridWorldFrlSystem::consensus_action_stddev() const {
 double GridWorldFrlSystem::evaluate_inference_fault(
     const InferenceFaultScenario& scenario, std::size_t attempts_per_agent,
     std::uint64_t seed, std::size_t threads) {
-  Network policy = consensus_network();
-  Rng fault_rng = Rng(seed).split(0xFA52);
-
-  const bool trans1 =
-      scenario.spec.model == FaultModel::TransientSingleStep;
-  if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
-
-  // One consensus policy serves every agent: each attempt batches all
-  // agents' decision steps into a single forward per step (the all-Dense
-  // gridworld policy makes the batched logits bit-identical to the serial
-  // loop), and attempts fan across worker lanes, each owning a private
-  // environment set over the shared read-only policy. Trans-1 attempts
-  // join the same batched step via per-agent weight views.
-  BatchedCampaignSpec spec;
-  spec.episodes = attempts_per_agent;
-  spec.agents = cfg_.n_agents;
-  spec.max_steps = cfg_.learner.max_steps;
-  spec.seed = seed;
-  spec.rng_salt = 0xE7A1;
-  spec.threads = threads;
-  spec.activation_detector = scenario.detector;
-  // Trans-1 trials read the scenario's mode directly; static-fault trials
-  // run a clean campaign over the (corrupted, repaired) policy on the
-  // scenario's plane — so an Int8 scenario executes its deployed image
-  // int8-natively in both fault timings.
-  spec.mode = scenario.mode;
-  spec.int8_headroom = scenario.int8_headroom;
-  if (trans1) spec.trans1 = &scenario;
-  const std::vector<double> successes = run_batched_inference_campaign(
-      policy, spec,
-      [this](std::size_t a) {
-        return std::make_unique<GridWorldEnv>(envs_[a]->layout(), cfg_.env);
-      },
-      [](std::size_t, const Environment&, const EpisodeStats& stats) {
-        return stats.success ? 1.0 : 0.0;
-      });
-  double total = 0.0;
-  for (const double s : successes) total += s;
-  return total / static_cast<double>(successes.size());
-}
-
-GridWorldFrlSystem::Snapshot GridWorldFrlSystem::snapshot() const {
-  Snapshot snap;
-  snap.engine = engine_->training_state();
-  snap.episode = snap.engine.episode;
-  snap.round = snap.engine.round;
-  for (const auto& n : nets_) snap.agent_params.push_back(n->flat_parameters());
-  return snap;
-}
-
-void GridWorldFrlSystem::restore(const Snapshot& snap) {
-  FRLFI_CHECK_MSG(snap.agent_params.size() == nets_.size(),
-                  "snapshot agent count mismatch");
-  for (std::size_t i = 0; i < nets_.size(); ++i)
-    nets_[i]->set_flat_parameters(snap.agent_params[i]);
-  // Top-level counters win over the engine block so hand-built snapshots
-  // (engine state default-empty) keep their historical position-only
-  // semantics.
-  FederatedRoundEngine::TrainingState state = snap.engine;
-  state.episode = snap.episode;
-  state.round = snap.round;
-  engine_->restore_training_state(state);
-}
-
-void GridWorldFrlSystem::save(std::ostream& os) const {
-  persist::write_header(os, 3);
-  const Snapshot snap = snapshot();
-  persist::write_u64(os, snap.episode);
-  persist::write_u64(os, snap.round);
-  persist::write_u64(os, snap.agent_params.size());
-  for (const auto& p : snap.agent_params) persist::write_floats(os, p);
-  persist::write_training_state(os, snap.engine);
-}
-
-void GridWorldFrlSystem::load(std::istream& is) {
-  const std::uint32_t version = persist::read_header(is);
-  FRLFI_CHECK_MSG(version >= 1 && version <= 3,
-                  "unsupported state version " << version);
-  Snapshot snap;
-  snap.episode = static_cast<std::size_t>(persist::read_u64(is));
-  snap.round = static_cast<std::size_t>(persist::read_u64(is));
-  const std::uint64_t n = persist::read_u64(is);
-  FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " agents, system has "
-                                                    << nets_.size());
-  for (std::uint64_t i = 0; i < n; ++i)
-    snap.agent_params.push_back(persist::read_floats(is));
-  // Version-1 files carry no engine block: restore() falls back to the
-  // historical position-only semantics.
-  if (version >= 2)
-    snap.engine = persist::read_training_state(is, cfg_.n_agents, version);
-  restore(snap);
-}
-
-Network& GridWorldFrlSystem::agent_network(std::size_t agent) {
-  FRLFI_CHECK(agent < nets_.size());
-  return *nets_[agent];
+  // Fault salt, trial-stream salt, step cap, env factory, metric.
+  return run_inference_campaign(
+      scenario, attempts_per_agent, seed, threads,
+      {0xFA52, 0xE7A1, cfg_.learner.max_steps,
+       [this](std::size_t a) {
+         return std::make_unique<GridWorldEnv>(envs_[a]->layout(), cfg_.env);
+       },
+       [](std::size_t, const Environment&, const EpisodeStats& stats) {
+         return stats.success ? 1.0 : 0.0;
+       }});
 }
 
 GridWorldEnv& GridWorldFrlSystem::agent_env(std::size_t agent) {

@@ -7,25 +7,21 @@
 /// smoothing-average server. Exposes the fault-injection and mitigation
 /// hooks every GridWorld experiment in the paper is built from.
 ///
-/// Training orchestration (episode loop, fault timing, the batched server
-/// round, §V-A mitigation) lives in the shared FederatedRoundEngine; this
-/// class supplies the agent-local callbacks (Q-learning episode, parameter
-/// gather/scatter, weight injection) and everything evaluation-side.
+/// Engine wiring, consensus, the inference-fault campaign and state
+/// persistence live in the shared FederatedSystem core; this class
+/// supplies the Q-learning episode and the GridWorld-specific metrics.
 
 #include <memory>
-#include <optional>
 
 #include "envs/gridworld.hpp"
-#include "federated/round_engine.hpp"
-#include "frl/evaluation.hpp"
-#include "frl/plans.hpp"
+#include "frl/federated_system.hpp"
 #include "rl/qlearner.hpp"
 #include "rl/schedule.hpp"
 
 namespace frlfi {
 
 /// End-to-end GridWorld FRL system.
-class GridWorldFrlSystem {
+class GridWorldFrlSystem : public FederatedSystem {
  public:
   /// System configuration. Defaults reproduce the paper's setup at the
   /// library's nominal scale (12 agents, 1000 training episodes).
@@ -38,19 +34,15 @@ class GridWorldFrlSystem {
     /// Initial smoothing self-weight and consensus time constant.
     double alpha0 = 0.5;
     double alpha_tau = 150.0;
-    /// Channel bit error rate (0 = clean links).
+    /// Channel BER (0 = clean links) and the bursty plane that replaces
+    /// it when active; worker lanes for the per-agent local episodes (1 =
+    /// serial, 0 = auto, N = exactly N) and for the server round (0 =
+    /// legacy serial round, N >= 1 = fleet path). train() is bit-identical
+    /// for every `threads` and every `server_threads` >= 1; see
+    /// FederatedRoundEngine::Config.
     double channel_ber = 0.0;
-    /// Bursty/unreliable channel plane (Gilbert–Elliott states, chunk
-    /// erasure/reordering); when active it replaces channel_ber.
     BurstyChannelConfig channel_bursty;
-    /// Worker lanes for the per-agent local training episodes
-    /// (FederatedRoundEngine::Config::threads): 1 = serial, 0 = auto, N =
-    /// exactly N. train() is bit-identical for every value.
     std::size_t threads = 1;
-    /// Worker lanes for the server round (fleet-scale path): 0 keeps the
-    /// legacy serial round byte-for-byte, N >= 1 arms the fleet
-    /// discipline — bit-identical across all N >= 1 (see
-    /// FederatedRoundEngine::Config::server_threads).
     std::size_t server_threads = 0;
     /// Q-learning hyperparameters.
     QLearner::Options learner;
@@ -62,55 +54,8 @@ class GridWorldFrlSystem {
     GridWorldEnv::Options env;
   };
 
-  /// Opaque training-state snapshot enabling the shared-prefix training
-  /// used by the heatmap sweeps. Besides the parameters and timeline
-  /// counters it carries the engine-side state (staleness buffer, pending
-  /// server fault, mitigation history) so a restored run replays the
-  /// uninterrupted one bit-for-bit. The top-level episode/round stay
-  /// authoritative for hand-built snapshots that never filled `engine`.
-  struct Snapshot {
-    std::vector<std::vector<float>> agent_params;
-    std::size_t episode = 0;
-    std::size_t round = 0;
-    FederatedRoundEngine::TrainingState engine;
-  };
-
   /// Build the system; `seed` drives all training stochasticity.
   GridWorldFrlSystem(Config cfg, std::uint64_t seed);
-
-  // Not movable: the round engine's hooks capture `this`.
-  GridWorldFrlSystem(GridWorldFrlSystem&&) = delete;
-  GridWorldFrlSystem& operator=(GridWorldFrlSystem&&) = delete;
-
-  /// Arm (or disarm, with plan.active=false) a training-time fault.
-  void set_fault_plan(const TrainingFaultPlan& plan);
-
-  /// Enable/disable the §V-A mitigation scheme.
-  void set_mitigation(const MitigationPlan& plan);
-
-  /// Arm/disarm the degraded-participation plane (dropout, stragglers,
-  /// Byzantine agents and server-side robust aggregation).
-  void set_participation_plan(const ParticipationPlan& plan) {
-    engine_->set_participation_plan(plan);
-  }
-
-  /// Accumulated participation totals since the plan was set.
-  const ParticipationStats& participation_stats() const {
-    return engine_->participation_stats();
-  }
-
-  /// Observe each communication round's participation report.
-  void set_round_observer(
-      std::function<void(const RoundParticipationReport&)> observer) {
-    engine_->set_round_observer(std::move(observer));
-  }
-
-  /// Train for `episodes` more episodes (continues from the current
-  /// episode counter; faults whose episode falls inside the range fire).
-  void train(std::size_t episodes);
-
-  /// Episodes completed so far.
-  std::size_t episode() const { return engine_->episode(); }
 
   /// Average greedy success rate over all agents (the paper's SR metric),
   /// `attempts_per_agent` episodes each, deterministic in `seed`.
@@ -130,44 +75,20 @@ class GridWorldFrlSystem {
                                   std::size_t max_extra_episodes,
                                   std::uint64_t eval_seed);
 
-  /// A fresh network holding the consensus (mean) policy parameters.
-  Network consensus_network() const;
-
   /// Average per-state standard deviation of the consensus policy's action
   /// values over the full observation lattice — Table I's statistic.
   double consensus_action_stddev() const;
 
-  /// Evaluate inference under a fault scenario: corrupts a copy of the
-  /// consensus policy (static injection; Trans-1 handled per-episode) and
-  /// returns the average success rate over all agents' environments.
-  ///
-  /// Runs as a batched inference campaign (each attempt batches all
-  /// agents' decision steps into one forward per step) whose attempts fan
-  /// across `threads` worker lanes with per-lane environment ownership —
-  /// 1 = serial, 0 = FRLFI_NUM_THREADS / hardware, N = exactly N. The
-  /// result is bit-identical for every `threads` value (see
-  /// run_batched_inference_campaign).
+  /// Evaluate inference under a fault scenario on the consensus policy
+  /// (FederatedSystem::run_inference_campaign; `threads`: 1 = serial, 0 =
+  /// FRLFI_NUM_THREADS / hardware, N = exactly N, bit-identical for every
+  /// value); returns the average success rate over all agents' mazes.
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t attempts_per_agent,
                                   std::uint64_t seed, std::size_t threads = 1);
 
-  /// Capture / restore training state (keeps config, RNG stream position
-  /// is re-derived from the episode counter).
-  Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
-  /// Persist / reload the training state (binary). The loading system
-  /// must have been constructed with the same configuration.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-
-  /// Mitigation counters (meaningful when mitigation is enabled).
-  const MitigationStats& mitigation_stats() const {
-    return engine_->mitigation_stats();
-  }
-
   /// Direct access to an agent's network (FI experiments and tests).
-  Network& agent_network(std::size_t agent);
+  Network& agent_network(std::size_t agent) { return network(agent); }
 
   /// Direct access to an agent's environment.
   GridWorldEnv& agent_env(std::size_t agent);
@@ -175,29 +96,11 @@ class GridWorldFrlSystem {
   /// The configuration in force.
   const Config& config() const { return cfg_; }
 
-  /// Uplink+downlink communication bytes so far (0 for single-agent).
-  std::size_t communication_bytes() const {
-    return engine_->communication_bytes();
-  }
-
-  /// The server's communication channel (null for single-agent): channel
-  /// cost/reliability counters for the Fig. 6b-style ablations.
-  const CommChannel* comm_channel() const {
-    return engine_->server() ? &engine_->server()->channel() : nullptr;
-  }
-
  private:
-  std::vector<float> consensus_params() const;
-
   Config cfg_;
   std::vector<std::unique_ptr<GridWorldEnv>> envs_;
-  std::vector<std::unique_ptr<Network>> nets_;
   std::vector<std::unique_ptr<QLearner>> learners_;
   EpsilonSchedule eps_;
-  // Owns the training plane (server, fault plan, mitigation, episode
-  // counter); its hooks capture `this` — the move operations above are
-  // deleted so the captured pointer can never dangle.
-  std::unique_ptr<FederatedRoundEngine> engine_;
 };
 
 }  // namespace frlfi

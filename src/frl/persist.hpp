@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file persist.hpp
-/// Minimal binary persistence helpers shared by the FRL systems' save()
-/// and load() methods: length-prefixed float vectors plus scalar counters,
+/// Minimal binary persistence helpers behind FederatedSystem::save() and
+/// load(): length-prefixed float vectors plus scalar counters,
 /// with a magic/version header so stale files fail loudly.
 
 #include <cstdint>

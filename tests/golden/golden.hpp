@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file golden.hpp
-/// Frozen scalar references for the federated round and the weight-fault
-/// plane, built as the test-only library frlfi_golden (linked by the
+/// Frozen scalar references for the federated round, the weight-fault
+/// plane and the serial greedy evaluators, built as the test-only library
+/// frlfi_golden (linked by the
 /// tests and the kernel benches, never by libfrlfi). Each is a
 /// deliberately naive implementation of what a library kernel computes;
 /// the bit-identity tests and bench gates compare the library against
@@ -105,5 +106,26 @@ InjectionReport inject_fixed_point_reference(std::vector<float>& weights,
 /// of the network with RangeAnomalyDetector::scan_and_suppress(Network&).
 InjectionReport apply_static_inference_fault(
     Network& policy, const InferenceFaultScenario& scenario, Rng& rng);
+
+// ------------------------------------------------ serial evaluators ----
+
+/// One greedy episode on the int8-native plane: every action read executes
+/// the deployed int8 words through `qview` (Network::forward_quant). The
+/// lockstep runner's quant lanes reproduce it bit-for-bit at every fleet
+/// size and thread count.
+EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
+                                  std::size_t max_steps,
+                                  const QuantWeightView& qview);
+
+/// One greedy episode with a Trans-1 fault: at one uniformly chosen step
+/// the weights are corrupted (the library's apply_static_inference_fault,
+/// detector screen included) for that single action read, then restored
+/// by a WeightRestoreGuard; InferenceMode::Int8 scenarios run the whole
+/// episode on the deployed int8 image with the strike as a word overlay.
+/// The serial mutate-and-restore loop greedy_episodes_trans1_batched
+/// reproduces through per-lane weight views.
+EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
+                                   std::size_t max_steps,
+                                   const InferenceFaultScenario& scenario);
 
 }  // namespace frlfi::golden

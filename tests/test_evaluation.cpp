@@ -47,26 +47,35 @@ TEST(GreedyEpisode, StepCapFails) {
   EXPECT_EQ(stats.steps, 5u);
 }
 
+/// One-lane greedy_episodes_trans1_batched over `env`.
+EpisodeStats trans1_episode(Network& net, Environment& env, Rng rng,
+                            std::size_t max_steps,
+                            const InferenceFaultScenario& scenario) {
+  const DeployedWeights deployed = make_deployed_weights(net, scenario);
+  std::vector<Environment*> envs{&env};
+  std::vector<Rng> rngs{rng};
+  return greedy_episodes_trans1_batched(net, deployed, scenario, envs, rngs,
+                                        max_steps)[0];
+}
+
 TEST(GreedyEpisodeTrans1, WeightsRestoredAfterEpisode) {
   Network net = always_right();
   const std::vector<float> before = net.flat_parameters();
   ChainEnv env(4);
-  Rng rng(2);
   InferenceFaultScenario scenario;
   scenario.spec.model = FaultModel::TransientSingleStep;
   scenario.spec.ber = 0.5;
-  greedy_episode_trans1(net, env, rng, 20, scenario);
+  trans1_episode(net, env, Rng(2), 20, scenario);
   EXPECT_EQ(net.flat_parameters(), before);
 }
 
 TEST(GreedyEpisodeTrans1, ZeroBerBehavesLikeClean) {
   Network net = always_right();
   ChainEnv env(4);
-  Rng rng(3);
   InferenceFaultScenario scenario;
   scenario.spec.model = FaultModel::TransientSingleStep;
   scenario.spec.ber = 0.0;
-  const EpisodeStats stats = greedy_episode_trans1(net, env, rng, 50, scenario);
+  const EpisodeStats stats = trans1_episode(net, env, Rng(3), 50, scenario);
   EXPECT_TRUE(stats.success);
   EXPECT_EQ(stats.steps, 4u);
 }

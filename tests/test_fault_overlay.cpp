@@ -360,7 +360,8 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
   // The acceptance lock: greedy_episodes_trans1_batched over per-lane
   // weight views reproduces the frozen serial clone + WeightRestoreGuard
   // loop bit-for-bit — same stats, same env end-states — without ever
-  // touching the shared policy; so does the library's serial runner.
+  // touching the shared policy; so does the golden serial runner, whose
+  // strike is the library's apply_static_inference_fault.
   Rng init(71);
   Network policy = make_gridworld_policy(init);
   const std::vector<float> clean = policy.flat_parameters();
@@ -390,7 +391,7 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
           frozen_trans1_episode(lane_policy, env, rng, max_steps, scenario));
       GridWorldEnv lib_env(suite[i % suite.size()], opts);
       Rng lib_rng = lane_rng(i);
-      const EpisodeStats lib = greedy_episode_trans1(
+      const EpisodeStats lib = golden::greedy_episode_trans1(
           lane_policy, lib_env, lib_rng, max_steps, scenario);
       EXPECT_EQ(lib.steps, serial.back().steps) << "lane " << i;
       EXPECT_EQ(lib.success, serial.back().success) << "lane " << i;
@@ -524,8 +525,8 @@ TEST(TrainingOverlay, LayerViewForwardMatchesMaterializedInjection) {
 TEST(BatchedTrans1, CampaignMatchesOldSerialTrans1Reference) {
   // run_batched_inference_campaign's Trans-1 path must reproduce what the
   // pre-overlay implementation computed: per (agent, trial) stream
-  // Rng(seed).split(salt + a).split(t), serial greedy_episode_trans1 on a
-  // private clone.
+  // Rng(seed).split(salt + a).split(t), serial
+  // golden::greedy_episode_trans1 on a private clone.
   Network policy = [] {
     Rng init(81);
     return make_gridworld_policy(init);
@@ -564,7 +565,7 @@ TEST(BatchedTrans1, CampaignMatchesOldSerialTrans1Reference) {
     for (std::size_t t = 0; t < spec.episodes; ++t) {
       for (std::size_t a = 0; a < spec.agents; ++a) {
         Rng rng = base.split(spec.rng_salt + a).split(t);
-        const EpisodeStats stats = greedy_episode_trans1(
+        const EpisodeStats stats = golden::greedy_episode_trans1(
             lane_policy, *envs[a], rng, spec.max_steps, scenario);
         want[t * spec.agents + a] = metric(a, *envs[a], stats);
       }

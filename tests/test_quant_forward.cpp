@@ -13,9 +13,9 @@
 ///    overlay, across BERs and burst shapes;
 ///  * QuantWeightView reads through a word overlay exactly as if the
 ///    overlay had been flipped into a materialized int8 image;
-///  * the evaluation plane: serial greedy_episode_quant == batched lanes,
-///    serial Int8 Trans-1 == batched Int8 Trans-1, and an Int8 clean
-///    campaign is thread-count invariant.
+///  * the evaluation plane: serial golden::greedy_episode_quant ==
+///    batched lanes, serial Int8 Trans-1 == batched Int8 Trans-1, and an
+///    Int8 clean campaign is thread-count invariant.
 
 #include <gtest/gtest.h>
 
@@ -286,7 +286,7 @@ TEST(QuantViewLock, OverlayReadsMatchMaterializedFlippedImage) {
 }
 
 TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
-  // Lockstep quant lanes == serial greedy_episode_quant per lane,
+  // Lockstep quant lanes == serial golden::greedy_episode_quant per lane,
   // bit-identical stats (no width tolerance on this plane even though
   // trajectories chain argmax decisions).
   Rng init(51);
@@ -302,7 +302,7 @@ TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
   for (std::size_t i = 0; i < lanes; ++i) {
     GridWorldEnv env(suite[i % suite.size()], opts);
     Rng rng = Rng(55).derive_stream({i});
-    serial.push_back(greedy_episode_quant(policy, env, rng, max_steps, qview));
+    serial.push_back(golden::greedy_episode_quant(policy, env, rng, max_steps, qview));
   }
   std::vector<std::unique_ptr<GridWorldEnv>> envs;
   std::vector<Environment*> ptrs;
@@ -326,8 +326,8 @@ TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
 
 TEST(QuantEvaluation, Trans1BatchedMatchesSerialInt8) {
   // Int8 Trans-1: the batched runner (per-lane word overlays through
-  // forward_batch_quant) reproduces the serial Int8 greedy_episode_trans1
-  // bit-for-bit, detector screening included.
+  // forward_batch_quant) reproduces the serial Int8
+  // golden::greedy_episode_trans1 bit-for-bit, detector screening included.
   Rng init(52);
   Network policy = make_gridworld_policy(init);
   RangeAnomalyDetector detector(policy, {.margin = 0.10});
@@ -347,7 +347,7 @@ TEST(QuantEvaluation, Trans1BatchedMatchesSerialInt8) {
     GridWorldEnv env(suite[i % suite.size()], opts);
     Rng rng = Rng(66).derive_stream({i});
     serial.push_back(
-        greedy_episode_trans1(policy, env, rng, max_steps, scenario));
+        golden::greedy_episode_trans1(policy, env, rng, max_steps, scenario));
   }
   std::vector<std::unique_ptr<GridWorldEnv>> envs;
   std::vector<Environment*> ptrs;
