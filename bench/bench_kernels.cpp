@@ -44,7 +44,9 @@
 /// trackable across commits.
 ///
 /// Flags: --quick (CI smoke: fewer reps/trials), --threads=N (parallel lane
-/// count; default 4 or FRLFI_NUM_THREADS), --trials=N (campaign size).
+/// count, >= 1; default the hardware thread count when above 1, else 4),
+/// --trials=N (campaign size, >= 1). Values follow the bench number rule
+/// (bench_util.hpp flag_value): a malformed or zero value exits with 2.
 
 #include <algorithm>
 #include <chrono>
@@ -52,10 +54,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/campaign.hpp"
-#include "core/parallel.hpp"
 #include "fault/injector.hpp"
 #include "fault/overlay.hpp"
 #include "federated/round_engine.hpp"
@@ -1224,32 +1227,22 @@ bool bench_campaign(std::size_t trials, std::size_t threads, Report& report) {
 int main(int argc, char** argv) {
   bool quick = false;
   std::size_t trials = 1000;
-  std::size_t threads = 0;
-  const auto usage = [&] {
-    std::fprintf(stderr, "usage: %s [--quick] [--trials=N] [--threads=N]\n",
-                 argv[0]);
-    return 2;
-  };
+  const unsigned hardware = std::thread::hardware_concurrency();
+  std::size_t threads = hardware > 1 ? hardware : 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg == "--quick") {
-        quick = true;
-      } else if (arg.rfind("--trials=", 0) == 0) {
-        trials = static_cast<std::size_t>(std::stoul(arg.substr(9)));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        threads = static_cast<std::size_t>(std::stoul(arg.substr(10)));
-      } else {
-        return usage();
-      }
-    } catch (const std::exception&) {  // stoul on empty/non-numeric value
-      return usage();
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg.rfind("--trials=", 0) == 0) {
+      trials = frlfi::bench::flag_value(arg, 1);
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      threads = frlfi::bench::flag_value(arg, 1);
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick] [--trials=N] [--threads=N]\n",
+                   argv[0]);
+      return 2;
     }
   }
-  if (trials == 0) return usage();
-  if (threads == 0) threads = frlfi::resolve_thread_count(0) > 1
-                                  ? frlfi::resolve_thread_count(0)
-                                  : 4;
   if (quick) trials = std::min<std::size_t>(trials, 50);
   const double min_time = quick ? 0.02 : 0.25;
 

@@ -1,30 +1,45 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 namespace frlfi::bench {
+
+std::uint64_t flag_value(const std::string& arg, std::uint64_t min) {
+  const std::size_t eq = arg.find('=');
+  const std::string flag = arg.substr(0, eq);
+  const std::string text = eq == std::string::npos ? "" : arg.substr(eq + 1);
+  // from_chars takes no sign and no leading blank, and reports overflow;
+  // an empty value and trailing characters are rejected here.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (expected a decimal >= %llu)\n",
+                 flag.c_str(), text.c_str(),
+                 static_cast<unsigned long long>(min));
+    std::exit(2);
+  }
+  return value;
+}
 
 BenchArgs BenchArgs::parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--trials=", 0) == 0) {
-      args.trials = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 9, nullptr, 10));
-      if (args.trials == 0) args.trials = 1;
+      args.trials = flag_value(arg, 1);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      args.seed = flag_value(arg, 0);
     } else if (arg == "--fast") {
       args.fast = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 10, nullptr, 10));
+      args.threads = flag_value(arg, 1);
     } else if (arg.rfind("--train-threads=", 0) == 0) {
-      args.train_threads = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 16, nullptr, 10));
+      args.train_threads = flag_value(arg, 1);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--trials=N] [--seed=N] [--fast] [--threads=N] "

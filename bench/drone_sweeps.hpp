@@ -32,8 +32,8 @@ struct DroneSweepConfig {
   std::size_t eval_episodes = 4;
   std::size_t trials = 1;
   std::uint64_t seed = 42;
-  /// Worker lanes for the (BER x episode) cell grid (run_cell_campaign:
-  /// 1 serial, 0 auto, N explicit). Cells share only the thread-safe
+  /// Worker lanes for the (BER x episode) cell grid (run_cell_campaign,
+  /// >= 1: 1 serial, N lanes). Cells share only the thread-safe
   /// pretraining cache, so metrics are bit-identical for every value.
   std::size_t threads = 1;
   /// Worker lanes for the per-drone episodes inside each cell's train()

@@ -34,13 +34,13 @@ struct GridSweepConfig {
   std::uint64_t seed = 42;
   /// Worker lanes for the (BER x episode) cell grid — cells build and
   /// train independent systems, so the sweep is pool-parallel over them
-  /// (run_cell_campaign: 1 serial, 0 auto, N explicit; metrics are
+  /// (run_cell_campaign, >= 1: 1 serial, N lanes; metrics are
   /// bit-identical for every value).
   std::size_t threads = 1;
   /// Worker lanes for the per-agent episodes inside each cell's train()
   /// (GridWorldFrlSystem::Config::threads — the federated round engine).
   /// Composes with `threads` and is likewise bit-identical for every
-  /// value; avoid stacking explicit counts at both levels on small
+  /// value; avoid stacking lane counts above 1 at both levels on small
   /// machines (real extra threads, see campaign.hpp).
   std::size_t train_threads = 1;
   /// Enable server checkpointing + reward-drop detection (Fig. 7a);

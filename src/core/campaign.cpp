@@ -16,8 +16,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg,
   // Trial t's stream depends only on (seed, t) and the metrics are folded
   // in trial order below, so the reduction is deterministic — parallel
   // runs are bit-identical to serial ones. Serial-vs-pool choice (never
-  // more lanes than trials, per-call FRLFI_NUM_THREADS re-resolution,
-  // global-pool reuse) is dispatch_lanes's single shared rule.
+  // more lanes than trials) is dispatch_lanes's single shared rule.
   std::vector<double> metrics(cfg.trials);
   dispatch_lanes(cfg.threads, cfg.trials,
                  [&](std::size_t begin, std::size_t end) {

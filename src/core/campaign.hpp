@@ -25,18 +25,14 @@ struct CampaignConfig {
   std::uint64_t seed = 42;
   /// Number of trials actually run (already scaled by the caller).
   std::size_t trials = 1;
-  /// Worker lanes for trial execution. 1 (default) runs strictly serial on
-  /// the calling thread; 0 resolves via FRLFI_NUM_THREADS / hardware
-  /// concurrency — the environment is re-read on *every* run_campaign call
-  /// (the process-wide pool is reused only while its pinned lane count
-  /// still matches; see ThreadPool::global()); any other value is used
-  /// as-is. With more than one lane `trial_fn` is invoked concurrently and
-  /// must not mutate shared state. Nested use — trial_fn itself calling
-  /// run_campaign or ThreadPool::parallel_for — never deadlocks: dispatch
-  /// on the *same* pool (the threads==0 global-pool path) runs inline,
-  /// while a nested explicit thread count spins its own short-lived pool —
-  /// real extra threads, so avoid stacking explicit counts at both levels
-  /// (see parallel.hpp).
+  /// Worker lanes for trial execution, >= 1 (0 throws frlfi::Error). 1
+  /// (default) runs strictly serial on the calling thread; N runs on a
+  /// pool of min(N, trials) lanes made for this call. With more than one
+  /// lane `trial_fn` is invoked concurrently and must not mutate shared
+  /// state. Nested use — trial_fn itself calling run_campaign — never
+  /// deadlocks, but each nested multi-lane call spins its own short-lived
+  /// pool: real extra threads, so avoid stacking lane counts above 1 at
+  /// both levels (see parallel.hpp).
   std::size_t threads = 1;
 };
 
@@ -58,10 +54,10 @@ CampaignResult run_campaign(const CampaignConfig& cfg,
 /// loop of the training-phase heatmap sweeps, where each cell builds and
 /// trains whole FRL systems. `cell_fn(c)` must depend only on its index
 /// (plus thread-safe shared state: the drone pretraining cache is), so
-/// the returned cell-order metrics are bit-identical for every thread
-/// policy. `threads` follows the campaign rule (dispatch_lanes): 1 =
-/// strictly serial on the calling thread, 0 = FRLFI_NUM_THREADS /
-/// hardware re-resolved on this call, N = an explicit pool of N lanes.
+/// the returned cell-order metrics are bit-identical for every lane
+/// count. `threads` follows the campaign rule (dispatch_lanes): 1 =
+/// strictly serial on the calling thread, N = a pool of min(N, cells)
+/// lanes, 0 = frlfi::Error.
 std::vector<double> run_cell_campaign(
     std::size_t cells, std::size_t threads,
     const std::function<double(std::size_t)>& cell_fn);

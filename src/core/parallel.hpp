@@ -5,14 +5,10 @@
 /// campaign runner: thousands of independent trials farmed across a handful
 /// of worker threads, with the caller participating as lane 0.
 ///
-/// Thread count resolution (resolve_thread_count): an explicit request wins;
-/// otherwise the FRLFI_NUM_THREADS environment variable (re-read on every
-/// call, so callers that resolve per dispatch pick up changes); otherwise
-/// std::thread::hardware_concurrency(). Note that ThreadPool::global() sizes
-/// itself by resolve_thread_count() once, at first use, and keeps that lane
-/// count for the life of the process — setting FRLFI_NUM_THREADS afterwards
-/// does not resize it (run_campaign compensates by re-resolving per call and
-/// spinning an explicit pool when the global pool's size no longer matches).
+/// Every lane count is explicit: a pool or dispatch asked for N >= 1 lanes
+/// uses exactly min(N, n) of them, and 0 lanes is an frlfi::Error. Lane
+/// counts never come from the environment or the hardware; callers pick
+/// them (the benches take --threads=N).
 ///
 /// The pool uses static contiguous partitioning — the right shape for
 /// exchangeable trials whose cost is roughly uniform. Exceptions thrown by
@@ -44,12 +40,6 @@
 
 namespace frlfi {
 
-/// Resolve an effective worker-lane count. `requested` > 0 is taken as-is;
-/// 0 consults FRLFI_NUM_THREADS (read afresh on every call; a value that
-/// is not a plain positive decimal in range is ignored), then
-/// hardware_concurrency(), floored at 1.
-std::size_t resolve_thread_count(std::size_t requested = 0);
-
 /// Contiguous static partition of [0, n) into `parts` ranges: part `part`
 /// gets [begin, end), the first n % parts parts taking one extra element.
 /// The same split parallel_for uses; exposed so lane-indexed bodies and
@@ -57,23 +47,21 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 
-/// Run body(begin, end) over [0, n) under the campaign thread policy —
-/// the one rule shared by run_campaign and the batched evaluation
-/// campaign. `threads` == 1: strictly serial on the calling thread; 0:
-/// FRLFI_NUM_THREADS / hardware resolved afresh on this call, reusing the
-/// process-wide pool only while its pinned lane count still matches the
-/// resolved one (otherwise an explicit pool of the resolved size); N:
-/// an explicit pool of min(N, n) lanes. Never more lanes than n.
+/// Run body(begin, end) over [0, n) under the campaign lane rule — the
+/// one rule shared by run_campaign, run_cell_campaign and the batched
+/// evaluation campaign. `threads` must be >= 1 (0 throws frlfi::Error);
+/// one lane runs strictly serial on the calling thread, N lanes run on a
+/// pool of min(N, n) lanes made for this call.
 void dispatch_lanes(std::size_t threads, std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Fixed-size thread pool executing blocking parallel_for dispatches.
 class ThreadPool {
  public:
-  /// Create a pool with `threads` lanes (0 = resolve_thread_count()). The
+  /// Create a pool with `threads` >= 1 lanes (0 throws frlfi::Error). The
   /// calling thread of parallel_for counts as one lane, so a pool of size
   /// T spawns T-1 worker threads.
-  explicit ThreadPool(std::size_t threads = 0);
+  explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -97,13 +85,6 @@ class ThreadPool {
   /// body of this pool (worker lane or the dispatcher's lane 0) — i.e. a
   /// parallel_for issued right now would run inline.
   bool on_pool_thread() const;
-
-  /// Process-wide shared pool, sized by resolve_thread_count() at first
-  /// use and *pinned* at that lane count for the rest of the process;
-  /// later FRLFI_NUM_THREADS changes do not resize it. Callers that must
-  /// honour a changed environment (run_campaign does) re-resolve per call
-  /// and fall back to an explicit pool on mismatch.
-  static ThreadPool& global();
 
  private:
   void worker_loop(std::size_t lane);

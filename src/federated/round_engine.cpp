@@ -20,13 +20,15 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
   FRLFI_CHECK(cfg_.comm_interval >= 1);
   FRLFI_CHECK(cfg_.comm_interval_boost >= 1);
   FRLFI_CHECK(cfg_.parameter_dim > 0);
+  FRLFI_CHECK_MSG(cfg_.threads >= 1,
+                  "episode dispatch needs at least one lane");
   FRLFI_CHECK_MSG(hooks_.run_episode && hooks_.gather_params &&
                       hooks_.scatter_params && hooks_.inject_agent,
                   "round engine needs all four agent hooks");
   rewards_.resize(cfg_.n_agents);
-  // Same lane count dispatch_lanes would pick for an explicit request
-  // (min(N, n), never more lanes than agents), but the pool persists
-  // across every episode of the training run.
+  // Same lane count dispatch_lanes would pick (min(N, n), never more
+  // lanes than agents), but the pool persists across every episode of the
+  // training run.
   if (cfg_.threads > 1 && cfg_.n_agents > 1)
     episode_pool_ = std::make_unique<ThreadPool>(
         std::min(cfg_.threads, cfg_.n_agents));
@@ -260,14 +262,7 @@ void FederatedRoundEngine::run_training_episode() {
       rewards_[i] = hooks_.run_episode(i, episode_, ep_rng);
     }
   };
-  if (episode_pool_) {
-    // parallel_for's static partition is the same shard_range split
-    // dispatch_lanes would produce — and the partition is invisible
-    // anyway (see above).
-    episode_pool_->parallel_for(cfg_.n_agents, body);
-  } else {
-    dispatch_lanes(cfg_.threads, cfg_.n_agents, body);
-  }
+  parallel_for(episode_pool_.get(), cfg_.n_agents, body);
   inject_training_fault_if_due();
   communicate_if_due();
   apply_mitigation(rewards_);

@@ -14,9 +14,9 @@
 ///  * **Pool-parallel local episodes.** Agents own disjoint env/network/
 ///    learner state and every episode draws the derived stream
 ///    `train_rng.split(episode * 1000003 + agent)`; Rng::split never
-///    advances the parent, so fanning agents across core/parallel's
-///    dispatch_lanes (Config::threads: 1 serial, 0 auto, N explicit)
-///    produces bit-identical training for every thread count.
+///    advances the parent, so fanning agents across a core/parallel pool
+///    (Config::threads >= 1 lanes) produces bit-identical training for
+///    every lane count.
 ///  * **One server round.** Every communication round — plan-free or
 ///    degraded — gathers the sending agents straight into a
 ///    participant-compacted row matrix (no per-agent flat_parameters()
@@ -83,11 +83,12 @@ class FederatedRoundEngine {
     /// config (equal-state BERs, no erasure/reordering) stays
     /// bit-identical to the i.i.d. channel at ber_good.
     BurstyChannelConfig bursty_channel;
-    /// Worker lanes for the per-agent local episodes: 1 = strictly serial
-    /// on the calling thread (the historical loop), 0 = FRLFI_NUM_THREADS /
-    /// hardware, N = exactly N. train() results are bit-identical for
-    /// every value — per-(episode, agent) derived RNG streams plus
-    /// disjoint agent state make the lane partition invisible.
+    /// Worker lanes for the per-agent local episodes, >= 1 (0 throws
+    /// frlfi::Error): 1 = strictly serial on the calling thread (the
+    /// historical loop), N = min(N, n_agents). train() results are
+    /// bit-identical for every value — per-(episode, agent) derived RNG
+    /// streams plus disjoint agent state make the lane partition
+    /// invisible.
     std::size_t threads = 1;
     /// Worker lanes for the *server* round — the fleet-scale path. Both
     /// settings run the same participant-compacted round; they differ in
@@ -267,10 +268,9 @@ class FederatedRoundEngine {
   std::vector<float> compact_matrix_;
   std::vector<std::size_t> compact_agents_;
   std::vector<double> rewards_;
-  // Persistent episode pool for an explicit Config::threads > 1 — built
-  // once so the per-episode dispatch never spawns threads on the hot
-  // path (threads == 1 runs serial; 0 goes through dispatch_lanes, which
-  // re-resolves FRLFI_NUM_THREADS per call and reuses the global pool).
+  // Persistent episode pool of min(Config::threads, n_agents) lanes —
+  // built once so the per-episode dispatch never spawns threads on the hot
+  // path; null when that is one lane (episodes run inline).
   std::unique_ptr<ThreadPool> episode_pool_;
   // Persistent server-round pool (fleet mode; null while
   // Config::server_threads == 0 keeps the legacy serial round).

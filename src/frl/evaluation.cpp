@@ -365,8 +365,7 @@ std::vector<double> run_batched_inference_campaign(
     }
   };
 
-  // Same pool policy as run_campaign (serial / global / explicit,
-  // FRLFI_NUM_THREADS re-resolved per call) via the shared rule.
+  // Same lane rule as run_campaign (dispatch_lanes).
   dispatch_lanes(spec.threads, spec.episodes, run_trials);
   return metrics;
 }

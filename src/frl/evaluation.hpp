@@ -191,12 +191,10 @@ struct BatchedCampaignSpec {
   /// Salt mixed into each agent's stream tag (keeps the per-agent streams
   /// aligned with the historical serial evaluators' split tags).
   std::uint64_t rng_salt = 0xE7A1;
-  /// Campaign fan-out: 1 = serial on the calling thread; 0 = the shared
-  /// global pool (FRLFI_NUM_THREADS re-resolved per call, as run_campaign
-  /// does); N = an explicit pool of N lanes. Any choice yields the same
-  /// bits. Nested use from a worker of the *same* pool (0 = the shared
-  /// global pool) degrades to inline; a nested explicit count spins its
-  /// own pool (see campaign.hpp).
+  /// Campaign fan-out, >= 1 (0 throws frlfi::Error): 1 = serial on the
+  /// calling thread; N = a pool of min(N, episodes) lanes made for this
+  /// call (the campaign rule, see campaign.hpp). Any choice yields the
+  /// same bits.
   std::size_t threads = 1;
   /// Optional per-step batched activation screen (see
   /// greedy_episodes_batched); ignored for Trans-1 trials.

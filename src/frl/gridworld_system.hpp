@@ -35,8 +35,8 @@ class GridWorldFrlSystem : public FederatedSystem {
     double alpha0 = 0.5;
     double alpha_tau = 150.0;
     /// Channel BER (0 = clean links) and the bursty plane that replaces
-    /// it when active; worker lanes for the per-agent local episodes (1 =
-    /// serial, 0 = auto, N = exactly N) and for the server round (0 =
+    /// it when active; worker lanes for the per-agent local episodes (>= 1;
+    /// 1 = serial, N = min(N, agents)) and for the server round (0 =
     /// legacy serial round, N >= 1 = fleet path). train() is bit-identical
     /// for every `threads` and every `server_threads` >= 1; see
     /// FederatedRoundEngine::Config.
@@ -80,9 +80,9 @@ class GridWorldFrlSystem : public FederatedSystem {
   double consensus_action_stddev() const;
 
   /// Evaluate inference under a fault scenario on the consensus policy
-  /// (FederatedSystem::run_inference_campaign; `threads`: 1 = serial, 0 =
-  /// FRLFI_NUM_THREADS / hardware, N = exactly N, bit-identical for every
-  /// value); returns the average success rate over all agents' mazes.
+  /// (FederatedSystem::run_inference_campaign; `threads` >= 1: 1 = serial,
+  /// N = min(N, trials) lanes, bit-identical for every value);
+  /// returns the average success rate over all agents' mazes.
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t attempts_per_agent,
                                   std::uint64_t seed, std::size_t threads = 1);

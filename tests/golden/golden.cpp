@@ -271,7 +271,7 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
     std::size_t action;
     if (t == fault_step) {
       WeightRestoreGuard guard(policy);  // restores after the single read
-      frlfi::apply_static_inference_fault(policy, scenario, rng);
+      golden::apply_static_inference_fault(policy, scenario, rng);
       action = policy.forward(obs).argmax();
     } else {
       action = policy.forward(obs).argmax();

@@ -118,7 +118,7 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
                                   const QuantWeightView& qview);
 
 /// One greedy episode with a Trans-1 fault: at one uniformly chosen step
-/// the weights are corrupted (the library's apply_static_inference_fault,
+/// the weights are corrupted (golden::apply_static_inference_fault above,
 /// detector screen included) for that single action read, then restored
 /// by a WeightRestoreGuard; InferenceMode::Int8 scenarios run the whole
 /// episode on the deployed int8 image with the strike as a word overlay.

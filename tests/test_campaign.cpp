@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "core/error.hpp"
 
 namespace frlfi {
@@ -119,13 +117,16 @@ TEST(Campaign, ParallelZeroTrialsStillRejected) {
   EXPECT_THROW(run_campaign(cfg, [](Rng&) { return 0.0; }), Error);
 }
 
-TEST(Campaign, AutoThreadsHonorsEnvKnob) {
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  CampaignConfig serial{.seed = 5, .trials = 40, .threads = 1};
-  CampaignConfig auto_threads{.seed = 5, .trials = 40, .threads = 0};
-  expect_bit_identical(run_campaign(auto_threads, synthetic_trial),
-                       run_campaign(serial, synthetic_trial));
-  unsetenv("FRLFI_NUM_THREADS");
+TEST(Campaign, ZeroLanesRejected) {
+  bool called = false;
+  CampaignConfig cfg{.seed = 5, .trials = 40, .threads = 0};
+  EXPECT_THROW(run_campaign(cfg,
+                            [&](Rng&) {
+                              called = true;
+                              return 0.0;
+                            }),
+               Error);
+  EXPECT_FALSE(called);
 }
 
 TEST(CellCampaign, MetricsAreCellOrderedAndThreadCountInvariant) {
@@ -144,9 +145,11 @@ TEST(CellCampaign, MetricsAreCellOrderedAndThreadCountInvariant) {
     EXPECT_EQ(run_cell_campaign(23, threads, cell_fn), serial)
         << "threads " << threads;
   }
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  EXPECT_EQ(run_cell_campaign(23, 0, cell_fn), serial);
-  unsetenv("FRLFI_NUM_THREADS");
+}
+
+TEST(CellCampaign, ZeroLanesRejected) {
+  EXPECT_THROW(run_cell_campaign(23, 0, [](std::size_t) { return 0.0; }),
+               Error);
 }
 
 TEST(CellCampaign, ZeroCellsRejected) {

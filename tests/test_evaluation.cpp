@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 
+#include "core/error.hpp"
 #include "envs/gridworld.hpp"
 #include "frl/policies.hpp"
 #include "mitigation/range_detector.hpp"
@@ -220,6 +221,7 @@ TEST(BatchedCampaign, BitIdenticalAcrossThreadCounts) {
     const std::vector<double> parallel = run(threads);
     EXPECT_EQ(parallel, serial) << "threads " << threads;
   }
+  EXPECT_THROW(run(0), Error);  // zero lanes is not "auto"
 }
 
 TEST(BatchedCampaign, Trans1LanesUsePrivateClones) {

@@ -21,39 +21,18 @@
 #include "fault/injector.hpp"
 #include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
+#include "golden/digest.hpp"
 #include "mitigation/range_detector.hpp"
 
 namespace frlfi {
 namespace {
 
-/// 64-bit FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  template <class T>
-  void value(const T& v) {
-    bytes(&v, sizeof(T));
-  }
-  template <class T>
-  void values(std::span<const T> v) {
-    value(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  void report(const InjectionReport& r) {
-    value(r.bits_flipped);
-    value(r.bits_total);
-  }
-  std::uint64_t digest() const { return h_; }
+using golden::Fnv1a;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+void fold_report(Fnv1a& f, const InjectionReport& r) {
+  f.value(r.bits_flipped);
+  f.value(r.bits_total);
+}
 
 /// The fault grid every digest folds, in a fixed order.
 std::vector<FaultSpec> fault_grid(double ber) {
@@ -122,7 +101,7 @@ std::uint64_t int8_digest(float headroom) {
     std::vector<float> w = clean;
     const InjectionReport r =
         inject_int8(std::span<float>(w), spec, rng, headroom);
-    f.report(r);
+    fold_report(f, r);
     f.values<float>(w);
     return r.bits_flipped;
   });
@@ -133,7 +112,7 @@ std::uint64_t fixed_digest(const FixedPointFormat& format) {
   return fold_grid(0.02, [&](const FaultSpec& spec, Rng& rng, Fnv1a& f) {
     std::vector<float> w = clean;
     const InjectionReport r = inject_fixed_point(w, format, spec, rng);
-    f.report(r);
+    fold_report(f, r);
     f.values<float>(w);
     return r.bits_flipped;
   });
@@ -143,7 +122,7 @@ std::uint64_t deployed_digest(const DeployedWeights& deployed) {
   return fold_grid(0.02, [&](const FaultSpec& spec, Rng& rng, Fnv1a& f) {
     WeightOverlay overlay;
     const InjectionReport r = deployed.inject(spec, rng, overlay);
-    f.report(r);
+    fold_report(f, r);
     f.values<std::size_t>(overlay.indices);
     f.values<float>(overlay.values);
     f.values<float>(deployed.base());
@@ -155,7 +134,7 @@ std::uint64_t deployed_quant_digest(const DeployedWeights& deployed) {
   return fold_grid(0.02, [&](const FaultSpec& spec, Rng& rng, Fnv1a& f) {
     QuantOverlay overlay;
     const InjectionReport r = deployed.inject_quant(spec, rng, overlay);
-    f.report(r);
+    fold_report(f, r);
     f.values<std::size_t>(overlay.indices);
     f.values<std::int8_t>(overlay.words);
     return r.bits_flipped;
@@ -167,7 +146,7 @@ std::uint64_t network_digest() {
   return fold_grid(2e-3, [&](const FaultSpec& spec, Rng& rng, Fnv1a& f) {
     Network net = proto.clone();
     const InjectionReport r = inject_network_weights(net, spec, rng);
-    f.report(r);
+    fold_report(f, r);
     f.values<float>(net.flat_parameters());
     return r.bits_flipped;
   });
@@ -181,7 +160,7 @@ std::uint64_t layer_digest() {
       Network net = proto.clone();
       if (net.layer(li).parameters().empty()) continue;
       const InjectionReport r = inject_layer_weights(net, li, spec, rng);
-      f.report(r);
+      fold_report(f, r);
       f.values<float>(net.flat_parameters());
       changed += r.bits_flipped;
     }
@@ -202,7 +181,7 @@ std::uint64_t static_digest(bool drone, bool use_int8, bool with_detector) {
                      Network net = proto.clone();
                      const InjectionReport r =
                          apply_static_inference_fault(net, scenario, rng);
-                     f.report(r);
+                     fold_report(f, r);
                      f.values<float>(net.flat_parameters());
                      return r.bits_flipped;
                    });

@@ -79,6 +79,19 @@ TEST(LintFixtures, R1ViolationsEachBannedSourceFires) {
   EXPECT_NE(r.output.find("finding(s)"), std::string::npos) << r.output;
 }
 
+TEST(LintFixtures, R1EnvironmentReadsFireOutsideHarnesses) {
+  const LintResult r = run_lint(fixture("r1_env.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(r.active("R1"), 2u) << r.output;  // free calls only
+  EXPECT_EQ(r.count("depend on the environment"), 2u) << r.output;
+  // The same reads (and a wall clock) under a bench/ path are exempt.
+  const LintResult exempt = run_lint(fixture("bench/r1_env_exempt.cpp"));
+  EXPECT_EQ(exempt.exit_code, 0) << exempt.output;
+  EXPECT_NE(exempt.output.find("0 finding(s), 0 suppressed"),
+            std::string::npos)
+      << exempt.output;
+}
+
 TEST(LintFixtures, R2AdvancingDrawsOnCapturedRngFire) {
   const LintResult r = run_lint(fixture("r2_violation.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
@@ -152,13 +165,13 @@ TEST(LintFixtures, CleanLookAlikesStaySilent) {
 TEST(LintFixtures, DirectoryWalkAggregatesEverything) {
   const LintResult r = run_lint(std::string(FRLFI_LINT_FIXTURES));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  // 5 R1 + 3 R2 + 2 R3 + (2 cpp + 1 cmake) R4 active, one suppressed per
-  // suppression fixture.
-  EXPECT_EQ(r.active("R1"), 5u) << r.output;
+  // (5 + 2 environment) R1 + 3 R2 + 2 R3 + (2 cpp + 1 cmake) R4 active,
+  // one suppressed per suppression fixture.
+  EXPECT_EQ(r.active("R1"), 7u) << r.output;
   EXPECT_EQ(r.active("R2"), 3u) << r.output;
   EXPECT_EQ(r.active("R3"), 2u) << r.output;
   EXPECT_EQ(r.active("R4"), 3u) << r.output;
-  EXPECT_NE(r.output.find("13 finding(s), 5 suppressed"), std::string::npos)
+  EXPECT_NE(r.output.find("15 finding(s), 5 suppressed"), std::string::npos)
       << r.output;
 }
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -103,30 +102,13 @@ TEST(Parallel, RejectsEmptyBody) {
       Error);
 }
 
-TEST(Parallel, ResolveThreadCountPrecedence) {
-  unsetenv("FRLFI_NUM_THREADS");
-  const std::size_t hardware = resolve_thread_count(0);
-  EXPECT_GE(hardware, 1u);
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("FRLFI_NUM_THREADS", "5", 1);
-  EXPECT_EQ(resolve_thread_count(0), 5u);
-  EXPECT_EQ(resolve_thread_count(2), 2u);  // explicit beats env
-  // Malformed env -> hardware. strtoul alone would wrap a sign ("-1") or
-  // saturate an overflow to ULONG_MAX, and a pool of that size throws.
-  for (const char* bad :
-       {"not-a-number", "-1", "+4", " 4", "99999999999999999999999"}) {
-    setenv("FRLFI_NUM_THREADS", bad, 1);
-    EXPECT_EQ(resolve_thread_count(0), hardware) << bad;
-  }
-  unsetenv("FRLFI_NUM_THREADS");
-}
-
-TEST(Parallel, GlobalPoolIsUsable) {
-  std::atomic<std::size_t> count{0};
-  ThreadPool::global().parallel_for(16, [&](std::size_t b, std::size_t e) {
-    count.fetch_add(e - b);
-  });
-  EXPECT_EQ(count.load(), 16u);
+TEST(Parallel, ZeroLanesRejected) {
+  EXPECT_THROW(ThreadPool pool(0), Error);
+  bool called = false;
+  const auto body = [&](std::size_t, std::size_t) { called = true; };
+  EXPECT_THROW(dispatch_lanes(0, 8, body), Error);
+  EXPECT_THROW(dispatch_lanes(0, 0, body), Error);  // checked before n
+  EXPECT_FALSE(called);
 }
 
 TEST(Parallel, ShardRangeIsContiguousPartition) {
@@ -194,13 +176,14 @@ TEST(Parallel, SameThreadChainAcrossPoolsRunsInline) {
   EXPECT_EQ(total.load(), 4u);
 }
 
-TEST(Parallel, NestedGlobalPoolAndCampaignDoNotDeadlock) {
-  // run_campaign with threads == 0 dispatches on the global pool; called
-  // from inside a global-pool body it must complete inline.
+TEST(Parallel, NestedCampaignInsidePoolBodyDoesNotDeadlock) {
+  // A multi-lane run_campaign called from inside a pool body spins its own
+  // pool for that call and must complete with every trial run.
+  ThreadPool pool(2);
   std::atomic<std::size_t> trials_run{0};
-  ThreadPool::global().parallel_for(8, [&](std::size_t b, std::size_t e) {
+  pool.parallel_for(8, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      CampaignConfig cfg{.seed = 7, .trials = 5, .threads = 0};
+      CampaignConfig cfg{.seed = 7, .trials = 5, .threads = 2};
       const CampaignResult r = run_campaign(cfg, [&](Rng& rng) {
         trials_run.fetch_add(1);
         return rng.uniform();
@@ -225,23 +208,6 @@ TEST(Parallel, ConcurrentExternalDispatchersAreSerialized) {
   }
   for (auto& t : dispatchers) t.join();
   EXPECT_EQ(total.load(), 4u * 25u * 8u);
-}
-
-TEST(Parallel, CampaignReresolvesEnvThreadsPerCall) {
-  // The global pool's lane count pins at first use, but run_campaign must
-  // re-read FRLFI_NUM_THREADS per call and still produce serial-identical
-  // stats (via an explicit pool when the global size no longer matches).
-  ThreadPool::global().size();  // force the pin
-  const auto trial = [](Rng& rng) { return rng.uniform(); };
-  CampaignConfig serial{.seed = 11, .trials = 40, .threads = 1};
-  const CampaignResult want = run_campaign(serial, trial);
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  CampaignConfig env_auto{.seed = 11, .trials = 40, .threads = 0};
-  const CampaignResult got = run_campaign(env_auto, trial);
-  unsetenv("FRLFI_NUM_THREADS");
-  EXPECT_EQ(want.stats.count(), got.stats.count());
-  EXPECT_EQ(want.stats.mean(), got.stats.mean());
-  EXPECT_EQ(want.stats.variance(), got.stats.variance());
 }
 
 }  // namespace

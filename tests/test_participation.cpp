@@ -19,7 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -520,6 +525,148 @@ TEST(CommunicateRound, ValidatesPendingUploads) {
   wrong_dim.agent = 0;
   wrong_dim.data = {1.0f};
   EXPECT_THROW(srv.set_pending_uploads({wrong_dim}), Error);
+}
+
+// ------------------------------------------- aggregation properties ----
+
+TEST(AggregationProperty, TrimmedMeanStaysWithinFiniteRange) {
+  // Seeded random row sets with up to trim_k garbage rows (NaN, +Inf,
+  // -Inf per coordinate): every output coordinate is finite and inside the
+  // [min, max] of that coordinate's finite inputs.
+  const float garbage[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  Rng rng(2024);
+  for (int set = 0; set < 200; ++set) {
+    const std::size_t trim_k = 1 + rng.uniform_index(3);
+    const std::size_t m = 2 * trim_k + 1 + rng.uniform_index(6);
+    const std::size_t dim = 1 + rng.uniform_index(7);
+    const std::size_t bad_rows = rng.uniform_index(trim_k + 1);
+    std::vector<float> rows(m * dim);
+    for (std::size_t j = 0; j < m; ++j)
+      for (std::size_t d = 0; d < dim; ++d)
+        rows[j * dim + d] = j < bad_rows
+                                ? garbage[rng.uniform_index(3)]
+                                : static_cast<float>(rng.uniform(-5.0, 5.0));
+    std::vector<const float*> ptrs(m);
+    for (std::size_t j = 0; j < m; ++j) ptrs[(j + set) % m] = &rows[j * dim];
+    std::vector<float> scratch(m), out(dim);
+    trimmed_mean_rows(ptrs.data(), m, dim, trim_k, scratch.data(), 1,
+                      out.data(), nullptr);
+    for (std::size_t d = 0; d < dim; ++d) {
+      float lo = std::numeric_limits<float>::infinity(), hi = -lo;
+      for (std::size_t j = bad_rows; j < m; ++j) {
+        lo = std::min(lo, rows[j * dim + d]);
+        hi = std::max(hi, rows[j * dim + d]);
+      }
+      EXPECT_TRUE(std::isfinite(out[d])) << "set " << set << " dim " << d;
+      EXPECT_GE(out[d], lo) << "set " << set << " dim " << d;
+      EXPECT_LE(out[d], hi) << "set " << set << " dim " << d;
+    }
+  }
+}
+
+std::vector<std::uint32_t> float_bits(std::span<const float> v) {
+  std::vector<std::uint32_t> bits(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    bits[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return bits;
+}
+
+TEST(AggregationProperty, L2ScreenFollowsUploadsNotSenders) {
+  // Permuting which agent holds which upload must leave the screen's
+  // exclusions unchanged: the same number of rows screened, and every
+  // upload's downlink bit-identical wherever it sits. Small-integer rows
+  // keep every sum exact, so the downlink depends only on the upload and
+  // the contributor set, never on the summation order.
+  Rng rng(77);
+  std::size_t screened_total = 0;
+  for (int set = 0; set < 60; ++set) {
+    const std::size_t n = 3 + rng.uniform_index(6), dim = 6;
+    std::vector<std::vector<float>> uploads(n, std::vector<float>(dim));
+    for (auto& row : uploads) {
+      const std::uint64_t kind = rng.uniform_index(8);
+      for (float& v : row) {
+        v = static_cast<float>(rng.uniform_int(-3, 3));
+        if (kind == 0) v *= 16.0f;  // norm outlier
+        if (kind == 1) v = 0.0f;    // far below the median norm
+      }
+      if (kind == 2) row[rng.uniform_index(dim)] =
+          std::numeric_limits<float>::quiet_NaN();
+      if (kind == 3) row[rng.uniform_index(dim)] =
+          -std::numeric_limits<float>::infinity();
+    }
+    std::vector<std::size_t> holder(n);  // agent a holds uploads[holder[a]]
+    for (std::size_t a = 0; a < n; ++a) holder[a] = a;
+    rng.shuffle(holder);
+    std::vector<std::vector<float>> permuted(n);
+    for (std::size_t a = 0; a < n; ++a) permuted[a] = uploads[holder[a]];
+
+    const AlphaSchedule schedule(n, 0.6, 20.0);
+    const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
+    ParameterServer::RobustRoundOptions opts;
+    opts.screening.l2_norm = true;
+    opts.screening.l2_factor = 3.0;
+    ParameterServer base_srv(n, dim, schedule), perm_srv(n, dim, schedule);
+    Rng base_rng(5), perm_rng(5);
+    std::vector<float> base_rows = pack_rows(uploads);
+    std::vector<float> perm_rows = pack_rows(permuted);
+    const RoundParticipationReport base =
+        round_over_matrix(base_srv, base_rows, status, opts, base_rng);
+    const RoundParticipationReport perm =
+        round_over_matrix(perm_srv, perm_rows, status, opts, perm_rng);
+    EXPECT_EQ(perm.screened_out, base.screened_out) << "set " << set;
+    EXPECT_EQ(perm.contributors, base.contributors) << "set " << set;
+    screened_total += base.screened_out;
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::span<const float> got(perm_rows.data() + a * dim, dim);
+      const std::span<const float> want(
+          base_rows.data() + holder[a] * dim, dim);
+      EXPECT_EQ(float_bits(got), float_bits(want))
+          << "set " << set << " agent " << a << " upload " << holder[a];
+    }
+  }
+  EXPECT_GT(screened_total, 0u);  // the screen actually fired
+}
+
+TEST(AggregationProperty, PartialParticipationWeightsSumToOne) {
+  // Every agent uploads the same constant row; dropouts, stragglers and a
+  // folded stale row change the weights, never their sum: each delivered
+  // downlink (and the consensus) is the constant again.
+  const std::size_t n = 6, dim = 5;
+  const float c = 0.375f;
+  const std::vector<float> constant(dim, c);
+  ParameterServer srv(n, dim, AlphaSchedule(n, 0.6, 20.0));
+  ParameterServer::PendingUpload stale;
+  stale.agent = 1;
+  stale.deliver_round = 0;
+  stale.weight = 0.25f;
+  stale.data = constant;
+  srv.set_pending_uploads({stale});
+  ParameterServer::RobustRoundOptions opts;
+  opts.straggler_lag = 1;
+  opts.stale_decay = 0.5;
+  using S = AgentRoundStatus;
+  const std::vector<std::vector<S>> rounds = {
+      {S::Present, S::Dropped, S::Straggler, S::Present, S::Present,
+       S::Dropped},
+      {S::Dropped, S::Present, S::Present, S::Straggler, S::Dropped,
+       S::Present},
+      {S::Present, S::Present, S::Dropped, S::Present, S::Straggler,
+       S::Straggler}};
+  Rng rng(31);
+  std::size_t folded = 0;
+  for (const std::vector<S>& status : rounds) {
+    std::vector<float> rows = pack_rows(std::vector<std::vector<float>>(
+        n, constant));
+    const RoundParticipationReport rep =
+        round_over_matrix(srv, rows, status, opts, rng);
+    ASSERT_TRUE(rep.aggregated);
+    folded += rep.stale_folded;
+    for (const float v : rows) EXPECT_FLOAT_EQ(v, c);
+    for (const float v : srv.consensus()) EXPECT_FLOAT_EQ(v, c);
+  }
+  EXPECT_GE(folded, 2u);  // the seeded row and at least one straggler
 }
 
 GridWorldFrlSystem::Config grid_config(std::size_t n_agents,

@@ -295,6 +295,17 @@ struct FleetHarness {
   }
 };
 
+TEST(RoundEngine, ZeroEpisodeLanesRejected) {
+  FleetHarness harness(4, 8);
+  FederatedRoundEngine::Config cfg;
+  cfg.n_agents = 4;
+  cfg.parameter_dim = 8;
+  cfg.threads = 0;
+  EXPECT_THROW(FederatedRoundEngine(cfg, 1, 2, harness.hooks()), Error);
+  EXPECT_THROW(GridWorldFrlSystem(grid_config(2, 0), 1), Error);
+  EXPECT_THROW(DroneFrlSystem(drone_config(2, 0), 1), Error);
+}
+
 /// Stormy Gilbert–Elliott channel: bad-state flips, chunk erasure and
 /// reordering all active, so the fleet transmit fan has real work and the
 /// burst-plane bit-identity (legacy vs fleet) is exercised, not vacuous.

@@ -22,33 +22,12 @@
 #include <vector>
 
 #include "federated/round_engine.hpp"
+#include "golden/digest.hpp"
 
 namespace frlfi {
 namespace {
 
-/// 64-bit FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  template <class T>
-  void value(const T& v) {
-    bytes(&v, sizeof(T));
-  }
-  void floats(std::span<const float> v) {
-    value(v.size());
-    bytes(v.data(), v.size() * sizeof(float));
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+using golden::Fnv1a;
 
 /// Synthetic agents: flat parameter rows and an "episode" that nudges one
 /// coordinate, so rounds aggregate changing data at zero NN cost.
@@ -152,7 +131,7 @@ std::uint64_t run_digest(const Case& c) {
   engine.train(12);
 
   Fnv1a f;
-  f.floats(h.params);
+  f.values<float>(h.params);
   const CommChannel& ch = engine.server()->channel();
   f.value(ch.transmit_seq());
   f.value(ch.messages_sent());
@@ -183,7 +162,7 @@ std::uint64_t run_digest(const Case& c) {
     f.value(p.agent);
     f.value(p.deliver_round);
     f.value(p.weight);
-    f.floats(p.data);
+    f.values<float>(p.data);
   }
   return f.digest();
 }

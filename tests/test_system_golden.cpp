@@ -16,40 +16,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "golden/digest.hpp"
 
 namespace frlfi {
 namespace {
 
-/// 64-bit FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  template <class T>
-  void value(const T& v) {
-    bytes(&v, sizeof(T));
-  }
-  void floats(std::span<const float> v) {
-    value(v.size());
-    bytes(v.data(), v.size() * sizeof(float));
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+using golden::Fnv1a;
 
 // DroneNav training bits differ under the ASan+UBSan preset (the CI
 // asan-ubsan job): the same code gives one digest per build,
@@ -118,8 +96,8 @@ void fold_state(Fnv1a& f, const System& sys,
   const std::string stream = ss.str();
   f.value(stream.size());
   f.bytes(stream.data(), stream.size());
-  for (const std::vector<float>& p : params) f.floats(p);
-  f.floats(sys.consensus_network().flat_parameters());
+  for (const std::vector<float>& p : params) f.values<float>(p);
+  f.values<float>(sys.consensus_network().flat_parameters());
   f.value(sys.communication_bytes());
   f.value(sys.snapshot().round);
 }

@@ -242,9 +242,9 @@ bool path_has_component(const std::string& path, const std::string& comp) {
   return false;
 }
 
-// bench/ and tools/ may read wall clocks: timing harnesses measure, they
-// do not decide results.
-bool clock_exempt(const std::string& path) {
+// bench/ and tools/ may read wall clocks and the environment: harnesses
+// measure and configure runs, they do not decide results.
+bool harness_exempt(const std::string& path) {
   return path_has_component(path, "bench") || path_has_component(path, "tools");
 }
 
@@ -275,7 +275,13 @@ void check_r1(Ctx& ctx) {
                  std::string(fn) +
                      "() draws from hidden global state; use a seeded Rng "
                      "stream");
-  if (clock_exempt(ctx.path)) return;
+  if (harness_exempt(ctx.path)) return;
+  for (std::size_t pos : find_words(ctx.code, "getenv"))
+    if (followed_by_call(ctx.code, pos + 6) &&
+        !is_member_access(ctx.code, pos))
+      ctx.emit(1, pos,
+               "getenv() makes results depend on the environment; take the "
+               "setting as an explicit argument or config field");
   for (std::size_t pos : find_words(ctx.code, "time"))
     if (followed_by_call(ctx.code, pos + 4) &&
         !is_member_access(ctx.code, pos))

@@ -8,9 +8,10 @@
 // that silently break thread-count invariance before any test notices:
 //
 //   R1  banned nondeterminism sources: std::random_device, rand()/srand(),
-//       time(), and wall clocks (system_clock / steady_clock /
-//       high_resolution_clock). Clock and time() use is exempt under
-//       bench/ and tools/ (timing harnesses measure, they do not decide
+//       time(), wall clocks (system_clock / steady_clock /
+//       high_resolution_clock) and environment reads (getenv()). Clock,
+//       time() and getenv() use is exempt under bench/ and tools/
+//       (harnesses measure and configure runs, they do not decide
 //       results); random_device / rand / srand are banned everywhere.
 //   R2  advancing draws (.uniform* / .bernoulli / .next* / .normal /
 //       .shuffle / .categorical) on a reference-captured Rng inside a
@@ -70,7 +71,7 @@ struct Report {
 };
 
 // Lint C++ source text. `path` is used for reporting and for the R1
-// bench//tools/ clock exemption.
+// bench//tools/ clock and environment exemption.
 Report lint_cpp_source(const std::string& path, const std::string& text,
                        const Options& opt);
 

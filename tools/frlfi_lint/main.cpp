@@ -24,7 +24,8 @@ void print_usage(std::FILE* out) {
       "\n"
       "rules:\n"
       "  R1  banned nondeterminism sources (random_device, rand/srand,\n"
-      "      time(), wall clocks; clocks/time() exempt under bench/, tools/)\n"
+      "      time(), wall clocks, getenv(); clocks, time() and getenv()\n"
+      "      exempt under bench/, tools/)\n"
       "  R2  advancing draw on reference-captured Rng state inside a\n"
       "      parallel_for/dispatch_lanes body (use split()/derive_stream())\n"
       "  R3  range-for over unordered_map/unordered_set (unspecified order)\n"
